@@ -28,7 +28,7 @@
 //!   exponentially, then fall back to pre-arbitration.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore};
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
@@ -130,6 +130,15 @@ struct MissEntry {
     invalidated: bool,
 }
 
+/// True if `line` is speculatively written by any of the active `chunks`
+/// (the BDM's displacement veto and dirty-non-speculative test). Exact
+/// shadows, so signature aliasing never vetoes a displacement.
+fn spec_written(chunks: &VecDeque<Chunk>, line: LineAddr) -> bool {
+    chunks
+        .iter()
+        .any(|c| c.w.contains_exact(line) || c.wpriv.contains_exact(line))
+}
+
 /// A BulkSC core node: processor + checkpointing + BDM + private L1.
 pub struct BulkNode {
     core: u32,
@@ -142,11 +151,16 @@ pub struct BulkNode {
     program_done: bool,
     budget: u64,
 
+    /// In-flight instructions; each slot's tag is the sequence number of
+    /// the chunk it was fetched into, so tags rise in window order.
     window: InstrWindow,
+    /// The first slot `issue` has not examined yet. Slots never return to
+    /// `Waiting` here, so everything older is issued (or not a memory
+    /// operation) and each cycle's issue scan resumes at this id.
+    issue_next: SlotId,
     awaiting: Option<SlotId>,
     feed: Option<u64>,
     stash: Option<Instr>,
-    slot_chunks: HashMap<SlotId, u64>,
 
     l1: SetAssocCache,
     misses: HashMap<LineAddr, MissEntry>,
@@ -214,10 +228,10 @@ impl BulkNode {
             program_done: false,
             budget,
             window: InstrWindow::new(cfg.window_size),
+            issue_next: 0,
             awaiting: None,
             feed: None,
             stash: None,
-            slot_chunks: HashMap::new(),
             l1: SetAssocCache::new(l1),
             misses: HashMap::new(),
             completions: BinaryHeap::new(),
@@ -324,8 +338,7 @@ impl BulkNode {
             .filter(|c| c.state == ChunkState::Open)
     }
 
-    fn chunk_of_slot(&mut self, id: SlotId) -> Option<&mut Chunk> {
-        let seq = *self.slot_chunks.get(&id)?;
+    fn chunk_mut(&mut self, seq: u64) -> Option<&mut Chunk> {
         self.chunks.iter_mut().find(|c| c.tag.seq == seq)
     }
 
@@ -341,24 +354,14 @@ impl BulkNode {
         })
     }
 
-    /// The chunk sequence number a slot was fetched into. Every slot is
-    /// tagged at fetch time; an untagged slot in the retire/issue path
-    /// means chunk accounting was corrupted.
-    fn chunk_seq_of(&self, now: Cycle, slot: SlotId, ctx: &str) -> u64 {
-        *self.slot_chunks.get(&slot).unwrap_or_else(|| {
-            panic!(
-                "core {}: cycle {now}: slot {slot} has no chunk tag ({ctx})",
-                self.core
-            )
-        })
-    }
-
-    /// True if `line` is speculatively written by any active chunk (the
-    /// BDM's displacement veto and dirty-non-speculative test).
-    fn spec_written(&self, line: LineAddr) -> bool {
-        self.chunks
-            .iter()
-            .any(|c| c.w.contains_exact(line) || c.wpriv.contains_exact(line))
+    /// True while the oldest active chunk still has slots in the window.
+    /// Tags rise in window order and every window slot belongs to an
+    /// active chunk, so it is enough to look at the head.
+    fn front_chunk_in_window(&self) -> bool {
+        match (self.chunks.front(), self.window.oldest()) {
+            (Some(c), Some(head)) => head.tag() == c.tag.seq,
+            _ => false,
+        }
     }
 
     // ------------------------------------------------------------------
@@ -377,7 +380,7 @@ impl BulkNode {
         self.retire(now, values, fab);
         self.issue(now);
         self.send_pending_misses(now, fab);
-        self.fetch(now, fab);
+        self.fetch(now);
         self.check_finished(now);
     }
 
@@ -438,22 +441,18 @@ impl BulkNode {
 
     /// The youngest older same-word store/RMW still in the window.
     fn window_forward(&self, slot: SlotId, addr: Addr) -> WindowForward {
-        let mut fwd = WindowForward::None;
-        for s in self.window.iter() {
-            if s.id >= slot {
-                break;
-            }
+        for s in self.window.older_than(slot) {
             match s.instr {
                 Instr::Store { addr: a, value } if a == addr => {
-                    fwd = WindowForward::Value(value);
+                    return WindowForward::Value(value);
                 }
                 Instr::Rmw { addr: a, .. } if a == addr => {
-                    fwd = WindowForward::Unknown;
+                    return WindowForward::Unknown;
                 }
                 _ => {}
             }
         }
-        fwd
+        WindowForward::None
     }
 
     fn retire(&mut self, now: Cycle, values: &mut ValueStore, fab: &mut Fabric) {
@@ -462,17 +461,18 @@ impl BulkNode {
             let Some(head) = self.window.oldest() else {
                 break;
             };
-            let head_id = head.id;
+            let head_id = head.id();
+            let head_seq = head.tag();
             let head_instr = head.instr;
             let head_state = head.state;
-            let head_remaining = head.remaining;
+            let head_remaining = head.remaining();
             let head_value = head.value;
             match head_instr {
                 Instr::Compute(_) => {
                     let n = budget.min(head_remaining);
                     self.window.drain_oldest_compute(n);
                     budget -= n;
-                    self.note_retired(head_id, n as u64);
+                    self.note_retired(head_seq, n as u64);
                     let core = self.core;
                     let drained = self.window.oldest().unwrap_or_else(|| {
                         panic!(
@@ -480,13 +480,13 @@ impl BulkNode {
                              mid-drain of a compute burst"
                         )
                     });
-                    if drained.remaining == 0 {
+                    if drained.remaining() == 0 {
                         self.finish_slot(head_id);
                     }
                 }
                 Instr::Fence => {
                     // §3.3: no fences, no reordering constraints.
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -504,7 +504,7 @@ impl BulkNode {
                                 addr.line()
                             )
                         });
-                        self.buffer_access(now, head_id, |seq, po| Event::ValLoad {
+                        self.buffer_access(head_seq, |seq, po| Event::ValLoad {
                             core,
                             seq,
                             po,
@@ -517,18 +517,18 @@ impl BulkNode {
                         self.feed = v;
                         self.awaiting = None;
                     }
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
                 Instr::Store { addr, value } => {
                     // Wait-free store retirement (§6).
-                    if !self.perform_spec_store(now, head_id, addr, value, fab) {
+                    if !self.perform_spec_store(now, head_seq, addr, value, fab) {
                         break; // set-overflow self-squash happened
                     }
                     if self.trace.enabled() {
                         let core = self.core;
-                        self.buffer_access(now, head_id, |seq, po| Event::ValStore {
+                        self.buffer_access(head_seq, |seq, po| Event::ValStore {
                             core,
                             seq,
                             po,
@@ -537,7 +537,7 @@ impl BulkNode {
                             retired_at: now,
                         });
                     }
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -547,17 +547,17 @@ impl BulkNode {
                     let have_line = self.l1.contains(addr.line())
                         || self.chunks.iter().any(|c| c.forward(addr).is_some());
                     if !have_line {
-                        self.want_line(now, head_id, addr.line(), None);
+                        self.want_line(now, addr.line(), None);
                         break;
                     }
                     let old = self.resolved_value(addr, values);
                     let new = op.apply(old);
-                    if !self.perform_spec_store(now, head_id, addr, new, fab) {
+                    if !self.perform_spec_store(now, head_seq, addr, new, fab) {
                         break;
                     }
                     if self.trace.enabled() {
                         let core = self.core;
-                        self.buffer_access(now, head_id, |seq, po| Event::ValRmw {
+                        self.buffer_access(head_seq, |seq, po| Event::ValRmw {
                             core,
                             seq,
                             po,
@@ -569,20 +569,18 @@ impl BulkNode {
                     }
                     self.feed = Some(old);
                     self.awaiting = None;
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
                 Instr::Io => {
                     // §4.1.3: stall until every older chunk has fully
                     // committed, perform, then a fresh chunk starts.
-                    let own_seq = self.chunk_seq_of(now, head_id, "I/O retire");
-                    let front_is_mine = self.chunks.front().map(|c| c.tag.seq) == Some(own_seq);
-                    if !front_is_mine || !self.committing.is_empty() {
+                    if !self.front_chunk_in_window() || !self.committing.is_empty() {
                         break;
                     }
                     self.stats.io_ops += 1;
-                    self.note_retired(head_id, 1);
+                    self.note_retired(head_seq, 1);
                     self.finish_slot(head_id);
                     budget -= 1;
                 }
@@ -590,53 +588,51 @@ impl BulkNode {
         }
     }
 
-    /// Buffer a value-trace event into the slot's chunk, assigning the
-    /// next per-core program-order index. Callers check
-    /// `trace.enabled()` first so untraced runs pay nothing.
-    fn buffer_access(&mut self, now: Cycle, slot: SlotId, make: impl FnOnce(u64, u64) -> Event) {
+    /// Buffer a value-trace event into chunk `seq`, assigning the next
+    /// per-core program-order index. Callers check `trace.enabled()` first
+    /// so untraced runs pay nothing.
+    fn buffer_access(&mut self, seq: u64, make: impl FnOnce(u64, u64) -> Event) {
         let po = self.po_next;
         self.po_next += 1;
-        let seq = self.chunk_seq_of(now, slot, "value-trace buffering");
-        if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
+        if let Some(c) = self.chunk_mut(seq) {
             c.accesses.push(make(seq, po));
         }
     }
 
-    fn note_retired(&mut self, slot: SlotId, n: u64) {
+    fn note_retired(&mut self, seq: u64, n: u64) {
         self.stats.retired += n;
-        if let Some(c) = self.chunk_of_slot(slot) {
+        if let Some(c) = self.chunk_mut(seq) {
             c.retired += n;
         }
     }
 
     fn finish_slot(&mut self, id: SlotId) {
         let slot = self.window.pop_oldest();
-        debug_assert_eq!(slot.id, id);
-        self.slot_chunks.remove(&id);
+        debug_assert_eq!(slot.id(), id);
     }
 
-    /// A store retires speculatively: route it to W or Wpriv, buffer the
-    /// value, and make sure the line is (or will be) in the cache.
-    /// Returns false if a cache-set overflow forced a self-squash.
+    /// A store of chunk `seq` retires speculatively: route it to W or
+    /// Wpriv, buffer the value, and make sure the line is (or will be) in
+    /// the cache. Returns false if a cache-set overflow forced a
+    /// self-squash.
     fn perform_spec_store(
         &mut self,
         now: Cycle,
-        slot: SlotId,
+        seq: u64,
         addr: Addr,
         value: u64,
         fab: &mut Fabric,
     ) -> bool {
         let line = addr.line();
-        let seq = self.chunk_seq_of(now, slot, "speculative store retire");
         let is_static_priv =
             self.bulk.private == PrivateMode::Static && self.map.is_static_private(addr);
         let dirty_nonspec =
-            self.l1.state(line) == Some(LineState::Dirty) && !self.spec_written(line);
+            self.l1.state(line) == Some(LineState::Dirty) && !spec_written(&self.chunks, line);
 
         // Make sure the line is present or on its way (§6: must arrive
         // before the chunk commits).
         if !self.l1.contains(line) {
-            self.want_line(now, slot, line, Some(seq));
+            self.want_line(now, line, Some(seq));
         }
 
         let use_wpriv = if is_static_priv {
@@ -699,25 +695,25 @@ impl BulkNode {
         true
     }
 
+    /// Issue every waiting memory operation within `issue_window` dynamic
+    /// instructions of the head, oldest first. The scan resumes at
+    /// `issue_next`, so each slot is examined once in its lifetime.
     fn issue(&mut self, now: Cycle) {
-        let mut to_start: Vec<(SlotId, Instr)> = Vec::new();
-        let mut depth = 0u64;
-        for slot in self.window.iter() {
-            depth += slot.remaining.max(1) as u64;
-            if depth > self.cfg.issue_window as u64 {
+        #[cfg(debug_assertions)]
+        self.check_window_invariants();
+        let limit = self.cfg.issue_window as u64;
+        loop {
+            let Some(slot) = self.window.iter_from(self.issue_next).next() else {
+                break;
+            };
+            if self.window.issue_depth(slot) > limit {
                 break;
             }
-            if slot.state == SlotState::Waiting {
-                match slot.instr {
-                    Instr::Load { .. } | Instr::Store { .. } | Instr::Rmw { .. } => {
-                        to_start.push((slot.id, slot.instr));
-                    }
-                    _ => {}
-                }
+            let (id, instr, seq, state) = (slot.id(), slot.instr, slot.tag(), slot.state);
+            self.issue_next = id + 1;
+            if state != SlotState::Waiting {
+                continue;
             }
-        }
-        for (id, instr) in to_start {
-            let seq = self.chunk_seq_of(now, id, "issue");
             match instr {
                 Instr::Load { addr, .. } => {
                     self.record_read(seq, addr);
@@ -729,7 +725,7 @@ impl BulkNode {
                         self.completions
                             .push(Reverse((now + self.cfg.l1_latency, id)));
                     } else {
-                        self.want_line(now, id, addr.line(), None);
+                        self.want_line(now, addr.line(), None);
                         if let Some(m) = self.misses.get_mut(&addr.line()) {
                             if !m.waiting_loads.contains(&id) {
                                 m.waiting_loads.push(id);
@@ -745,7 +741,7 @@ impl BulkNode {
                     // op itself performs at the head.
                     self.record_read(seq, addr);
                     if !self.l1.contains(addr.line()) {
-                        self.want_line(now, id, addr.line(), None);
+                        self.want_line(now, addr.line(), None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -754,7 +750,7 @@ impl BulkNode {
                 Instr::Store { addr, .. } => {
                     // Prefetch the line; the store performs at the head.
                     if !self.l1.contains(addr.line()) {
-                        self.want_line(now, id, addr.line(), None);
+                        self.want_line(now, addr.line(), None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -762,6 +758,57 @@ impl BulkNode {
                 }
                 _ => {}
             }
+        }
+    }
+
+    /// Debug-build cross-check of the two facts the per-cycle fast paths
+    /// rest on, against a full scan of the window: no waiting memory
+    /// operation within issue depth lies behind the issue cursor (with
+    /// each slot's cached depth equal to the scanned one), and the
+    /// head-tag test agrees with "some slot carries the front chunk's
+    /// sequence number" (tags never fall in window order).
+    #[cfg(debug_assertions)]
+    fn check_window_invariants(&self) {
+        let mut depth = 0u64;
+        let mut prev_tag = 0u64;
+        for s in self.window.iter() {
+            depth += s.remaining().max(1) as u64;
+            assert_eq!(
+                self.window.issue_depth(s),
+                depth,
+                "core {}: cached issue depth of slot {} drifted",
+                self.core,
+                s.id()
+            );
+            assert!(
+                s.tag() >= prev_tag,
+                "core {}: slot {} tag {} is older than its predecessor's {prev_tag}",
+                self.core,
+                s.id(),
+                s.tag()
+            );
+            prev_tag = s.tag();
+            let waiting_mem = s.state == SlotState::Waiting
+                && matches!(
+                    s.instr,
+                    Instr::Load { .. } | Instr::Store { .. } | Instr::Rmw { .. }
+                );
+            assert!(
+                !(waiting_mem && s.id() < self.issue_next && depth <= self.cfg.issue_window as u64),
+                "core {}: waiting memory slot {} lies behind the issue cursor {}",
+                self.core,
+                s.id(),
+                self.issue_next
+            );
+        }
+        if let Some(front) = self.chunks.front() {
+            assert_eq!(
+                self.front_chunk_in_window(),
+                self.window.iter().any(|s| s.tag() == front.tag.seq),
+                "core {}: head-tag test disagrees with a window scan for chunk {}",
+                self.core,
+                front.tag
+            );
         }
     }
 
@@ -779,7 +826,7 @@ impl BulkNode {
 
     /// Register interest in `line`. `pending_for` marks the chunk that
     /// cannot commit until the line arrives (speculative stores).
-    fn want_line(&mut self, now: Cycle, _slot: SlotId, line: LineAddr, pending_for: Option<u64>) {
+    fn want_line(&mut self, now: Cycle, line: LineAddr, pending_for: Option<u64>) {
         self.misses.entry(line).or_insert_with(|| MissEntry {
             sent: false,
             sent_at: 0,
@@ -833,7 +880,7 @@ impl BulkNode {
         }
     }
 
-    fn fetch(&mut self, now: Cycle, fab: &mut Fabric) {
+    fn fetch(&mut self, now: Cycle) {
         if self.awaiting.is_some() {
             return;
         }
@@ -887,37 +934,36 @@ impl BulkNode {
             // chunk so the store lands in the next one (§4.1.2).
             if let Instr::Store { addr, .. } = instr {
                 let line = addr.line();
-                let veto_set = self.spec_veto();
                 if self.fetched_into_chunk > 0
                     && !self.l1.contains(line)
-                    && self.l1.would_overflow(line, |l| veto_set.contains(&l))
+                    && self
+                        .l1
+                        .would_overflow(line, |l| spec_written(&self.chunks, l))
                 {
                     self.close_open_chunk();
                     self.stash = Some(instr);
                     continue;
                 }
             }
-            match self.window.push(instr) {
+            let core = self.core;
+            let seq = self
+                .open_chunk_mut()
+                .unwrap_or_else(|| {
+                    panic!(
+                        "core {core}: cycle {now}: no open chunk to receive a \
+                         fetched instruction (chunks_per_core misconfigured?)"
+                    )
+                })
+                .tag
+                .seq;
+            match self.window.push_tagged(instr, seq) {
                 Some(id) => {
-                    let core = self.core;
-                    let seq = self
-                        .open_chunk_mut()
-                        .unwrap_or_else(|| {
-                            panic!(
-                                "core {core}: cycle {now}: no open chunk to receive \
-                                 fetched slot {id} (chunks_per_core misconfigured?)"
-                            )
-                        })
-                        .tag
-                        .seq;
-                    self.slot_chunks.insert(id, seq);
                     self.fetched_into_chunk += instr.dynamic_count();
                     if matches!(instr, Instr::Io) {
                         self.close_open_chunk();
                     }
                     if instr.consumes_value() {
                         self.awaiting = Some(id);
-                        let _ = (now, &fab);
                         return;
                     }
                 }
@@ -937,17 +983,6 @@ impl BulkNode {
         }
     }
 
-    /// The lines no displacement may touch: speculatively-written lines of
-    /// all active chunks.
-    fn spec_veto(&self) -> HashSet<LineAddr> {
-        let mut set = HashSet::new();
-        for c in &self.chunks {
-            set.extend(c.w.exact().iter());
-            set.extend(c.wpriv.exact().iter());
-        }
-        set
-    }
-
     // ------------------------------------------------------------------
     // Commit.
     // ------------------------------------------------------------------
@@ -963,8 +998,7 @@ impl BulkNode {
             return;
         }
         // Fully retired? No slot of this chunk may remain in the window.
-        let seq = front.tag.seq;
-        if self.slot_chunks.values().any(|&s| s == seq) {
+        if self.front_chunk_in_window() {
             return;
         }
         let tag = front.tag;
@@ -1199,20 +1233,9 @@ impl BulkNode {
 
         // Drop the squashed chunks' slots: they form a program-order
         // suffix of the window.
-        let slot_chunks = &self.slot_chunks;
-        let mut wasted = self.window.squash_newest_while(|id| {
-            slot_chunks
-                .get(&id)
-                .map(|&s| s >= first_seq)
-                .unwrap_or(false)
-        });
-        self.slot_chunks.retain(|_, &mut s| s < first_seq);
+        let mut wasted = self.window.squash_newest_while(|s| s.tag() >= first_seq);
         debug_assert!(
-            !self.window.iter().any(|s| self
-                .slot_chunks
-                .get(&s.id)
-                .map(|&c| c >= first_seq)
-                .unwrap_or(false)),
+            !self.window.iter().any(|s| s.tag() >= first_seq),
             "squashed slots must form a window suffix"
         );
 
@@ -1346,18 +1369,6 @@ impl BulkNode {
         // 1. Disambiguate: the oldest colliding chunk and all younger ones
         //    squash (CReq1's in-order rule).
         let victim = self.chunks.iter().position(|c| c.collides_with(w));
-        if std::env::var_os("BULKSC_TRACE_DISAMBIG").is_some() && !w.is_empty() {
-            for c in &self.chunks {
-                eprintln!(
-                    "DISAMBIG core{} w_len={} r_len={} bloom={} exact={}",
-                    self.core,
-                    w.len(),
-                    c.r.len(),
-                    c.collides_with(w),
-                    c.collides_exactly_with(w)
-                );
-            }
-        }
         if let Some(idx) = victim {
             let exact = self
                 .chunks
@@ -1394,7 +1405,9 @@ impl BulkNode {
         //    we are their registered owner).
         for set in w.decode_sets(self.l1.num_sets()) {
             for line in self.l1.lines_in_set(set) {
-                if w.contains(line) && !self.priv_buffer.contains(line) && !self.spec_written(line)
+                if w.contains(line)
+                    && !self.priv_buffer.contains(line)
+                    && !spec_written(&self.chunks, line)
                 {
                     self.l1.invalidate(line);
                     self.note_lost_clean_line(line);
@@ -1632,8 +1645,11 @@ impl BulkNode {
         } else {
             LineState::Shared
         };
-        let veto_set = self.spec_veto();
-        match self.l1.insert(line, state, |l| veto_set.contains(&l)) {
+        // The cache consults the veto only when the set is full.
+        match self
+            .l1
+            .insert(line, state, |l| spec_written(&self.chunks, l))
+        {
             InsertOutcome::Evicted {
                 line: victim,
                 state: vstate,
@@ -1794,13 +1810,7 @@ impl BulkNode {
                     self.l1.contains(addr.line())
                         || self.chunks.iter().any(|c| c.forward(addr).is_some())
                 }
-                Instr::Io => {
-                    self.chunks
-                        .front()
-                        .map(|c| Some(c.tag.seq) == self.slot_chunks.get(&head.id).copied())
-                        .unwrap_or(false)
-                        && self.committing.is_empty()
-                }
+                Instr::Io => self.front_chunk_in_window() && self.committing.is_empty(),
             };
             if retirable {
                 return now;
@@ -1814,7 +1824,7 @@ impl BulkNode {
                 c.state == ChunkState::Closed
                     && c.pending_lines.is_empty()
                     && self.commit_retry_at <= now
-                    && !self.slot_chunks.values().any(|&s| s == c.tag.seq)
+                    && !self.front_chunk_in_window()
             })
             .unwrap_or(false)
         {

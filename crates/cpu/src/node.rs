@@ -352,7 +352,7 @@ impl BaselineNode {
     fn forwarded_value(&self, slot: SlotId, addr: Addr, values: &ValueStore) -> Option<u64> {
         let mut forwarded: Option<Option<u64>> = None;
         for s in self.window.iter() {
-            if s.id >= slot {
+            if s.id() >= slot {
                 break;
             }
             match s.instr {
@@ -380,16 +380,16 @@ impl BaselineNode {
             let Some(head) = self.window.oldest() else {
                 break;
             };
-            let head_id = head.id;
+            let head_id = head.id();
             let head_instr = head.instr;
             let head_state = head.state;
             match head_instr {
                 Instr::Compute(_) => {
-                    let n = budget.min(self.window.oldest().expect("head").remaining);
+                    let n = budget.min(self.window.oldest().expect("head").remaining());
                     self.window.drain_oldest_compute(n);
                     budget -= n;
                     self.note_retired(n as u64);
-                    if self.window.oldest().expect("head").remaining == 0 {
+                    if self.window.oldest().expect("head").remaining() == 0 {
                         self.finish_slot(head_id);
                     }
                 }
@@ -534,7 +534,7 @@ impl BaselineNode {
 
     fn finish_slot(&mut self, id: SlotId) {
         let slot = self.window.pop_oldest();
-        debug_assert_eq!(slot.id, id);
+        debug_assert_eq!(slot.id(), id);
         self.slot_epochs.remove(&id);
     }
 
@@ -675,7 +675,7 @@ impl BaselineNode {
         let mut mem_seen = 0usize;
         let mut depth = 0u64;
         for slot in self.window.iter() {
-            depth += slot.remaining.max(1) as u64;
+            depth += slot.remaining().max(1) as u64;
             if depth > self.cfg.issue_window as u64 {
                 break;
             }
@@ -691,7 +691,7 @@ impl BaselineNode {
             }
             mem_seen += 1;
             if slot.state == SlotState::Waiting {
-                to_start.push((slot.id, slot.instr));
+                to_start.push((slot.id(), slot.instr));
             }
         }
         for (id, instr) in to_start {
@@ -1172,7 +1172,7 @@ impl BaselineNode {
     fn own_store_forward(&self, slot: SlotId, addr: Addr) -> Option<u64> {
         let mut fwd = None;
         for s in self.window.iter() {
-            if s.id >= slot {
+            if s.id() >= slot {
                 break;
             }
             if let Instr::Store { addr: a, value } = s.instr {

@@ -17,6 +17,12 @@ run cargo clippy --workspace --all-targets --offline -- -D warnings
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
 
+# The repository benchmark (e2ebench/) is a cargo workspace of its own,
+# so the workspace test run above never builds it. It calls the public
+# API of crates/*, so an API change there must keep it compiling and its
+# self-tests passing.
+run cargo test --release --offline --manifest-path e2ebench/Cargo.toml
+
 # The regression layer, named explicitly so a failure is unmissable in
 # the log: golden figures must match their committed fixtures
 # (re-bless intentional changes with BULKSC_BLESS=1), and every artifact
