@@ -30,7 +30,7 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore};
+use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore, Wake};
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
 use bulksc_metrics as metrics;
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
@@ -368,27 +368,31 @@ impl BulkNode {
     // Per-cycle work.
     // ------------------------------------------------------------------
 
-    /// Advance this core by one cycle.
-    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    /// Advance this core by one cycle. Returns the next cycle it must
+    /// tick if no message arrives (see [`Wake`]).
+    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
-        self.answer_deferred_fetches(now, fab);
+        let mut wake = Wake::new(now);
+        self.answer_deferred_fetches(now, fab, &mut wake);
         if self.finished() {
-            return;
+            return wake.at();
         }
-        self.pop_completions(now, values);
-        self.maybe_request_commit(now, fab, values);
-        self.retire(now, values, fab);
-        self.issue(now);
-        self.send_pending_misses(now, fab);
-        self.fetch(now);
-        self.check_finished(now);
+        self.pop_completions(now, values, &mut wake);
+        self.maybe_request_commit(now, fab, values, &mut wake);
+        self.retire(now, values, fab, &mut wake);
+        self.issue(now, &mut wake);
+        self.send_pending_misses(now, fab, &mut wake);
+        self.fetch(now, &mut wake);
+        self.check_finished(now, &mut wake);
+        wake.at()
     }
 
-    fn pop_completions(&mut self, now: Cycle, values: &ValueStore) {
+    fn pop_completions(&mut self, now: Cycle, values: &ValueStore, wake: &mut Wake) {
         while let Some(&Reverse((t, slot))) = self.completions.peek() {
-            if t > now {
+            if !wake.due(t) {
                 break;
             }
+            wake.progress();
             self.completions.pop();
             self.complete_load_slot(now, slot, values);
         }
@@ -455,7 +459,7 @@ impl BulkNode {
         WindowForward::None
     }
 
-    fn retire(&mut self, now: Cycle, values: &mut ValueStore, fab: &mut Fabric) {
+    fn retire(&mut self, now: Cycle, values: &mut ValueStore, fab: &mut Fabric, wake: &mut Wake) {
         let mut budget = self.cfg.retire_width;
         while budget > 0 {
             let Some(head) = self.window.oldest() else {
@@ -523,9 +527,7 @@ impl BulkNode {
                 }
                 Instr::Store { addr, value } => {
                     // Wait-free store retirement (§6).
-                    if !self.perform_spec_store(now, head_seq, addr, value, fab) {
-                        break; // set-overflow self-squash happened
-                    }
+                    self.perform_spec_store(now, head_seq, addr, value, fab);
                     if self.trace.enabled() {
                         let core = self.core;
                         self.buffer_access(head_seq, |seq, po| Event::ValStore {
@@ -547,14 +549,14 @@ impl BulkNode {
                     let have_line = self.l1.contains(addr.line())
                         || self.chunks.iter().any(|c| c.forward(addr).is_some());
                     if !have_line {
-                        self.want_line(now, addr.line(), None);
+                        if self.want_line(now, addr.line(), None) {
+                            wake.progress();
+                        }
                         break;
                     }
                     let old = self.resolved_value(addr, values);
                     let new = op.apply(old);
-                    if !self.perform_spec_store(now, head_seq, addr, new, fab) {
-                        break;
-                    }
+                    self.perform_spec_store(now, head_seq, addr, new, fab);
                     if self.trace.enabled() {
                         let core = self.core;
                         self.buffer_access(head_seq, |seq, po| Event::ValRmw {
@@ -585,6 +587,7 @@ impl BulkNode {
                     budget -= 1;
                 }
             }
+            wake.progress();
         }
     }
 
@@ -613,8 +616,7 @@ impl BulkNode {
 
     /// A store of chunk `seq` retires speculatively: route it to W or
     /// Wpriv, buffer the value, and make sure the line is (or will be) in
-    /// the cache. Returns false if a cache-set overflow forced a
-    /// self-squash.
+    /// the cache.
     fn perform_spec_store(
         &mut self,
         now: Cycle,
@@ -622,7 +624,7 @@ impl BulkNode {
         addr: Addr,
         value: u64,
         fab: &mut Fabric,
-    ) -> bool {
+    ) {
         let line = addr.line();
         let is_static_priv =
             self.bulk.private == PrivateMode::Static && self.map.is_static_private(addr);
@@ -692,13 +694,12 @@ impl BulkNode {
             chunk.w.insert(line);
         }
         chunk.push_store(addr, value);
-        true
     }
 
     /// Issue every waiting memory operation within `issue_window` dynamic
     /// instructions of the head, oldest first. The scan resumes at
     /// `issue_next`, so each slot is examined once in its lifetime.
-    fn issue(&mut self, now: Cycle) {
+    fn issue(&mut self, now: Cycle, wake: &mut Wake) {
         #[cfg(debug_assertions)]
         self.check_window_invariants();
         let limit = self.cfg.issue_window as u64;
@@ -756,8 +757,9 @@ impl BulkNode {
                         s.state = SlotState::Done;
                     }
                 }
-                _ => {}
+                _ => continue,
             }
+            wake.progress();
         }
     }
 
@@ -825,32 +827,38 @@ impl BulkNode {
     }
 
     /// Register interest in `line`. `pending_for` marks the chunk that
-    /// cannot commit until the line arrives (speculative stores).
-    fn want_line(&mut self, now: Cycle, line: LineAddr, pending_for: Option<u64>) {
-        self.misses.entry(line).or_insert_with(|| MissEntry {
-            sent: false,
-            sent_at: 0,
-            retry_at: now,
-            waiting_loads: Vec::new(),
-            invalidated: false,
+    /// cannot commit until the line arrives (speculative stores). Returns
+    /// true if this opened a miss.
+    fn want_line(&mut self, now: Cycle, line: LineAddr, pending_for: Option<u64>) -> bool {
+        let mut opened = false;
+        self.misses.entry(line).or_insert_with(|| {
+            opened = true;
+            MissEntry {
+                sent: false,
+                sent_at: 0,
+                retry_at: now,
+                waiting_loads: Vec::new(),
+                invalidated: false,
+            }
         });
         if let Some(seq) = pending_for {
             if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
                 c.pending_lines.insert(line);
             }
         }
+        opened
     }
 
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric) {
+    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
         let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
         let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
         if budget == 0 {
-            return;
+            return; // only a fill or a nack (a message) frees an MSHR
         }
         let mut lines: Vec<LineAddr> = self
             .misses
             .iter()
-            .filter(|(_, m)| !m.sent && m.retry_at <= now)
+            .filter(|(_, m)| !m.sent && wake.due(m.retry_at))
             .map(|(&l, _)| l)
             .collect();
         lines.sort_unstable();
@@ -876,11 +884,12 @@ impl BulkNode {
                 dst,
                 Message::ReadShared { line },
             );
+            wake.progress();
             budget -= 1;
         }
     }
 
-    fn fetch(&mut self, now: Cycle) {
+    fn fetch(&mut self, now: Cycle, wake: &mut Wake) {
         if self.awaiting.is_some() {
             return;
         }
@@ -892,15 +901,12 @@ impl BulkNode {
                 return;
             }
             if self.stats.retired + self.window.occupancy() >= self.budget {
-                self.program_done = true;
-                self.close_open_chunk();
+                self.end_program(wake);
                 return;
             }
             // Chunk boundary by instruction count.
-            if self.open_chunk_mut().is_some()
-                && self.fetched_into_chunk >= self.effective_chunk_size
-            {
-                self.close_open_chunk();
+            if self.fetched_into_chunk >= self.effective_chunk_size {
+                self.close_open_chunk(wake);
             }
             // Make sure there is an open chunk to fetch into.
             if self.open_chunk_mut().is_none() {
@@ -908,16 +914,17 @@ impl BulkNode {
                     return; // chunk slots exhausted; wait for a commit
                 }
                 self.open_chunk(now);
+                wake.progress();
             }
             let instr = match self.stash.take() {
                 Some(i) => i,
                 None => {
+                    wake.progress();
                     let feed = self.feed.take();
                     match self.program.next(feed) {
                         Some(i) => i,
                         None => {
-                            self.program_done = true;
-                            self.close_open_chunk();
+                            self.end_program(wake);
                             return;
                         }
                     }
@@ -925,7 +932,7 @@ impl BulkNode {
             };
             // I/O runs in a chunk of its own (§4.1.3).
             if matches!(instr, Instr::Io) && self.fetched_into_chunk > 0 {
-                self.close_open_chunk();
+                self.close_open_chunk(wake);
                 self.stash = Some(instr);
                 continue;
             }
@@ -940,7 +947,7 @@ impl BulkNode {
                         .l1
                         .would_overflow(line, |l| spec_written(&self.chunks, l))
                 {
-                    self.close_open_chunk();
+                    self.close_open_chunk(wake);
                     self.stash = Some(instr);
                     continue;
                 }
@@ -958,9 +965,10 @@ impl BulkNode {
                 .seq;
             match self.window.push_tagged(instr, seq) {
                 Some(id) => {
+                    wake.progress();
                     self.fetched_into_chunk += instr.dynamic_count();
                     if matches!(instr, Instr::Io) {
-                        self.close_open_chunk();
+                        self.close_open_chunk(wake);
                     }
                     if instr.consumes_value() {
                         self.awaiting = Some(id);
@@ -975,22 +983,33 @@ impl BulkNode {
         }
     }
 
-    fn close_open_chunk(&mut self) {
-        if let Some(c) = self.chunks.back_mut() {
-            if c.state == ChunkState::Open {
-                c.state = ChunkState::Closed;
-            }
+    fn close_open_chunk(&mut self, wake: &mut Wake) {
+        if let Some(c) = self.open_chunk_mut() {
+            c.state = ChunkState::Closed;
+            wake.progress();
         }
+    }
+
+    /// The program ended (or hit its budget): fetch nothing more.
+    fn end_program(&mut self, wake: &mut Wake) {
+        if !self.program_done {
+            self.program_done = true;
+            wake.progress();
+        }
+        self.close_open_chunk(wake);
     }
 
     // ------------------------------------------------------------------
     // Commit.
     // ------------------------------------------------------------------
 
-    fn maybe_request_commit(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
-        if now < self.commit_retry_at {
-            return;
-        }
+    fn maybe_request_commit(
+        &mut self,
+        now: Cycle,
+        fab: &mut Fabric,
+        values: &mut ValueStore,
+        wake: &mut Wake,
+    ) {
         let Some(front) = self.chunks.front() else {
             return;
         };
@@ -998,9 +1017,10 @@ impl BulkNode {
             return;
         }
         // Fully retired? No slot of this chunk may remain in the window.
-        if self.front_chunk_in_window() {
+        if self.front_chunk_in_window() || !wake.due(self.commit_retry_at) {
             return;
         }
+        wake.progress();
         let tag = front.tag;
         if self.bulk.commit_without_arbitration {
             // TEST-ONLY fault (see `BulkConfig`): self-grant the commit.
@@ -1596,15 +1616,17 @@ impl BulkNode {
         );
     }
 
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric) {
-        let due: Vec<(Cycle, LineAddr, NodeId, bool)> = self
-            .deferred_fetches
-            .iter()
-            .filter(|(t, ..)| *t <= now)
-            .copied()
-            .collect();
-        self.deferred_fetches.retain(|(t, ..)| *t > now);
-        for (_, line, src, for_excl) in due {
+    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
+        let mut due = Vec::new();
+        self.deferred_fetches.retain(|&(t, line, src, for_excl)| {
+            let answer = wake.due(t);
+            if answer {
+                due.push((line, src, for_excl));
+            }
+            !answer
+        });
+        for (line, src, for_excl) in due {
+            wake.progress();
             self.surrender_line(now, line, src, for_excl, fab);
         }
     }
@@ -1751,7 +1773,7 @@ impl BulkNode {
         }
     }
 
-    fn check_finished(&mut self, now: Cycle) {
+    fn check_finished(&mut self, now: Cycle, wake: &mut Wake) {
         if self.stats.finished_at.is_some() {
             return;
         }
@@ -1775,6 +1797,7 @@ impl BulkNode {
                     seq: tag.seq,
                 });
                 self.chunks.clear();
+                wake.progress();
             }
         }
         if self.program_done
@@ -1784,88 +1807,8 @@ impl BulkNode {
             && self.committing.is_empty()
         {
             self.stats.finished_at = Some(now);
+            wake.progress();
         }
-    }
-
-    /// Earliest cycle at which this node may do useful work (`now` is
-    /// always a safe answer).
-    pub fn idle_until(&self, now: Cycle) -> Cycle {
-        if self.finished() {
-            return self
-                .deferred_fetches
-                .iter()
-                .map(|&(c, ..)| c)
-                .min()
-                .unwrap_or(Cycle::MAX);
-        }
-        // Un-issued memory operations are immediate work.
-        if self.window.iter().any(|s| s.state == SlotState::Waiting) {
-            return now;
-        }
-        if let Some(head) = self.window.oldest() {
-            let retirable = match head.instr {
-                Instr::Compute(_) | Instr::Fence | Instr::Store { .. } => true,
-                Instr::Load { .. } => head.state == SlotState::Done,
-                Instr::Rmw { addr, .. } => {
-                    self.l1.contains(addr.line())
-                        || self.chunks.iter().any(|c| c.forward(addr).is_some())
-                }
-                Instr::Io => self.front_chunk_in_window() && self.committing.is_empty(),
-            };
-            if retirable {
-                return now;
-            }
-        }
-        // A commit-ready front chunk is immediate work.
-        if self
-            .chunks
-            .front()
-            .map(|c| {
-                c.state == ChunkState::Closed
-                    && c.pending_lines.is_empty()
-                    && self.commit_retry_at <= now
-                    && !self.front_chunk_in_window()
-            })
-            .unwrap_or(false)
-        {
-            return now;
-        }
-        let can_fetch = (!self.program_done || self.stash.is_some())
-            && self.awaiting.is_none()
-            && (!self.prearb_waiting || self.prearb_granted)
-            && (self.open_chunk_mut_peek()
-                || self.chunks.len() < self.bulk.chunks_per_core as usize);
-        if can_fetch {
-            return now;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&Reverse((c, _))) = self.completions.peek() {
-            t = t.min(c);
-        }
-        for m in self.misses.values() {
-            if !m.sent {
-                t = t.min(m.retry_at);
-            }
-        }
-        for &(c, ..) in &self.deferred_fetches {
-            t = t.min(c);
-        }
-        if self
-            .chunks
-            .front()
-            .map(|c| c.state == ChunkState::Closed && c.pending_lines.is_empty())
-            .unwrap_or(false)
-        {
-            t = t.min(self.commit_retry_at.max(now + 1));
-        }
-        t.max(now + 1)
-    }
-
-    fn open_chunk_mut_peek(&self) -> bool {
-        self.chunks
-            .back()
-            .map(|c| c.state == ChunkState::Open)
-            .unwrap_or(false)
     }
 
     /// One-line diagnostic snapshot.

@@ -28,7 +28,7 @@ pub enum CoreNode {
 }
 
 impl CoreNode {
-    fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         match self {
             CoreNode::Baseline(n) => n.tick(now, fab, values),
             CoreNode::Bulk(n) => n.tick(now, fab, values),
@@ -46,13 +46,6 @@ impl CoreNode {
         match self {
             CoreNode::Baseline(n) => n.finished(),
             CoreNode::Bulk(n) => n.finished(),
-        }
-    }
-
-    fn idle_until(&self, now: Cycle) -> Cycle {
-        match self {
-            CoreNode::Baseline(n) => n.idle_until(now),
-            CoreNode::Bulk(n) => n.idle_until(now),
         }
     }
 
@@ -93,6 +86,10 @@ impl CoreNode {
 pub struct System {
     cfg: SystemConfig,
     nodes: Vec<CoreNode>,
+    /// Per core, the next cycle it must tick if no message arrives: what
+    /// its last tick returned, or the current cycle once a message is
+    /// delivered to it.
+    wakes: Vec<Cycle>,
     dirs: Vec<Directory>,
     arbiters: Vec<Arbiter>,
     garbiter: Option<GArbiter>,
@@ -124,18 +121,16 @@ impl System {
             );
         }
 
+        // Allocated ahead of the cores' large buffers. Placed after them,
+        // this small block made the next `System::new` in a build-run-drop
+        // loop ~8% slower, most likely by splitting the heap they free.
+        let wakes = vec![0; programs.len()];
         let nodes: Vec<CoreNode> = programs
             .into_iter()
             .enumerate()
             .map(|(i, p)| match &cfg.model {
                 Model::Baseline(m) => CoreNode::Baseline(BaselineNode::new(
-                    i as u32,
-                    *m,
-                    cfg.core,
-                    cfg.l1,
-                    p,
-                    cfg.budget,
-                    dir_of_static,
+                    i as u32, *m, cfg.core, cfg.l1, p, cfg.budget,
                 )),
                 Model::Bulk(b) => CoreNode::Bulk(BulkNode::new(
                     i as u32,
@@ -189,6 +184,7 @@ impl System {
 
         System {
             fabric: Fabric::new(cfg.fabric),
+            wakes,
             nodes,
             dirs,
             arbiters,
@@ -226,8 +222,9 @@ impl System {
     }
 
     /// Record an [`bulksc_trace::IntervalSample`] every `every` cycles
-    /// (clamped to at least 1). Idle fast-forwarded stretches collapse
-    /// into the sample at the next boundary actually stepped.
+    /// (clamped to at least 1). [`Self::run`] stops fast-forwarding at
+    /// each boundary, so samples land on them; a run driven by hand with
+    /// [`Self::step`] samples at the first stepped cycle past each one.
     ///
     /// The series is primed with the *current* cycle and counter totals,
     /// so enabling sampling mid-run yields a first sample covering only
@@ -341,6 +338,11 @@ impl System {
     }
 
     /// Advance one cycle: deliver due messages, then tick every core.
+    ///
+    /// Debug builds audit each core's wakeup here: a core that is asleep
+    /// (its wake lies in the future) and got no message this cycle is
+    /// ticked anyway, so its tick must change nothing and return the same
+    /// wake — otherwise `run` would skip cycles in which it has work.
     pub fn step(&mut self) {
         let due = self.fabric.deliver_due(self.now);
         for env in due {
@@ -351,6 +353,7 @@ impl System {
             });
             match env.dst {
                 NodeId::Core(c) => {
+                    self.wakes[c as usize] = self.now;
                     self.nodes[c as usize].handle(self.now, env, &mut self.fabric, &mut self.values)
                 }
                 NodeId::Dir(d) => {
@@ -366,8 +369,17 @@ impl System {
                     .handle(self.now, env, &mut self.fabric),
             }
         }
-        for n in &mut self.nodes {
-            n.tick(self.now, &mut self.fabric, &mut self.values);
+        for (core, (n, wake)) in self.nodes.iter_mut().zip(&mut self.wakes).enumerate() {
+            let next = n.tick(self.now, &mut self.fabric, &mut self.values);
+            debug_assert!(
+                *wake <= self.now || next == *wake,
+                "core {core}: cycle {}: asleep until {} but its tick returned {next}: \
+                 the wakeup skipped work\n{}",
+                self.now,
+                *wake,
+                n.debug_state()
+            );
+            *wake = next;
         }
         self.drive_sampler();
         self.now += 1;
@@ -383,16 +395,11 @@ impl System {
                 bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
                 return true;
             }
-            // Fast-forward: if no node can work now and no message is due,
-            // jump straight to the next event — and step there.
-            let node_next = self
-                .nodes
-                .iter()
-                .map(|n| n.idle_until(self.now))
-                .min()
-                .unwrap_or(Cycle::MAX);
+            // Fast-forward: if no core is due now and no message is, jump
+            // straight to the next event — and step there.
+            let node_next = self.wakes.iter().copied().min().unwrap_or(Cycle::MAX);
             let net_next = self.fabric.next_delivery().unwrap_or(Cycle::MAX);
-            let next = node_next.min(net_next);
+            let mut next = node_next.min(net_next);
             if next == Cycle::MAX {
                 // Nothing will ever happen again.
                 if self.finished() {
@@ -400,6 +407,9 @@ impl System {
                     return true;
                 }
                 return false;
+            }
+            if let Some(s) = &self.sampler {
+                next = next.min(s.next_at());
             }
             if next > self.now {
                 self.now = next.min(max_cycles);
@@ -440,11 +450,4 @@ impl System {
         }
         s
     }
-}
-
-/// Line-to-directory routing for baseline nodes (single-directory default;
-/// multi-directory baselines route the same way BulkSC cores do).
-fn dir_of_static(line: bulksc_sig::LineAddr) -> u32 {
-    let _ = line;
-    0
 }

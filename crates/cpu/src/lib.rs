@@ -19,9 +19,11 @@
 
 pub mod config;
 pub mod node;
+pub mod wake;
 pub mod window;
 
 pub use bulksc_mem::ValueStore;
 pub use config::CoreConfig;
 pub use node::{BaselineModel, BaselineNode, CoreStats};
+pub use wake::Wake;
 pub use window::{InstrWindow, Slot, SlotId, SlotState};

@@ -40,6 +40,7 @@ use bulksc_trace::{Event, TraceHandle};
 use bulksc_workloads::{Instr, ThreadProgram};
 
 use crate::config::CoreConfig;
+use crate::wake::Wake;
 use crate::window::{InstrWindow, SlotId, SlotState};
 use bulksc_mem::ValueStore;
 
@@ -130,7 +131,6 @@ pub struct BaselineNode {
     core: u32,
     model: BaselineModel,
     cfg: CoreConfig,
-    dir_of: fn(LineAddr) -> u32,
 
     program: Box<dyn ThreadProgram>,
     program_done: bool,
@@ -180,8 +180,8 @@ pub struct BaselineNode {
 
 impl BaselineNode {
     /// A core node for `core`, running `program` under `model`, stopping
-    /// after `budget` retired dynamic instructions (or program end).
-    /// `dir_of` maps a line to the directory module owning it.
+    /// after `budget` retired dynamic instructions (or program end). Every
+    /// line is homed at the single directory module `Dir(0)`.
     pub fn new(
         core: u32,
         model: BaselineModel,
@@ -189,13 +189,11 @@ impl BaselineNode {
         l1: CacheConfig,
         program: Box<dyn ThreadProgram>,
         budget: u64,
-        dir_of: fn(LineAddr) -> u32,
     ) -> Self {
         let mut node = BaselineNode {
             core,
             model,
             cfg,
-            dir_of,
             program,
             program_done: false,
             budget,
@@ -268,10 +266,6 @@ impl BaselineNode {
         self.stats.finished_at.is_some()
     }
 
-    fn dir_node(&self, line: LineAddr) -> NodeId {
-        NodeId::Dir((self.dir_of)(line))
-    }
-
     fn open_epoch(&mut self) {
         self.current_epoch += 1;
         self.epoch_fetched = 0;
@@ -290,29 +284,33 @@ impl BaselineNode {
     // Per-cycle work.
     // ------------------------------------------------------------------
 
-    /// Advance this core by one cycle.
-    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) {
+    /// Advance this core by one cycle. Returns the next cycle it must
+    /// tick if no message arrives (see [`Wake`]).
+    pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
+        let mut wake = Wake::new(now);
         // Protocol obligations outlive the program: a finished core must
         // still answer fetches deferred behind its last fills.
-        self.answer_deferred_fetches(now, fab);
+        self.answer_deferred_fetches(now, fab, &mut wake);
         if self.finished() {
-            return;
+            return wake.at();
         }
-        self.pop_completions(now, values);
-        self.retire(now, values);
-        self.drain_store_buffer(now, fab, values);
-        self.issue(now, fab);
-        self.send_pending_misses(now, fab);
-        self.fetch(now);
-        self.check_finished(now);
+        self.pop_completions(now, values, &mut wake);
+        self.retire(now, values, &mut wake);
+        self.drain_store_buffer(now, values, &mut wake);
+        self.issue(now, &mut wake);
+        self.send_pending_misses(now, fab, &mut wake);
+        self.fetch(&mut wake);
+        self.check_finished(now, &mut wake);
+        wake.at()
     }
 
-    fn pop_completions(&mut self, now: Cycle, values: &mut ValueStore) {
+    fn pop_completions(&mut self, now: Cycle, values: &mut ValueStore, wake: &mut Wake) {
         while let Some(&Reverse((t, slot))) = self.completions.peek() {
-            if t > now {
+            if !wake.due(t) {
                 break;
             }
+            wake.progress();
             self.completions.pop();
             self.complete_load_slot(now, slot, values);
         }
@@ -374,7 +372,7 @@ impl BaselineNode {
         Some(values.read(addr))
     }
 
-    fn retire(&mut self, now: Cycle, values: &mut ValueStore) {
+    fn retire(&mut self, now: Cycle, values: &mut ValueStore, wake: &mut Wake) {
         let mut budget = self.cfg.retire_width;
         while budget > 0 {
             let Some(head) = self.window.oldest() else {
@@ -394,10 +392,7 @@ impl BaselineNode {
                     }
                 }
                 Instr::Load { addr, consume } => {
-                    if head_state != SlotState::Done {
-                        break;
-                    }
-                    if !self.may_perform_mem(now) {
+                    if head_state != SlotState::Done || !self.may_perform_mem(wake) {
                         break;
                     }
                     let v = self.window.oldest().expect("head").value;
@@ -427,11 +422,10 @@ impl BaselineNode {
                 Instr::Store { addr, value } => {
                     match self.model {
                         BaselineModel::Sc => {
-                            if !self.may_perform_mem(now) {
-                                break;
-                            }
                             // Perform strictly at the head: needs ownership.
-                            if !self.try_perform_store(now, addr, value, values) {
+                            if !self.may_perform_mem(wake)
+                                || !self.try_perform_store(now, addr, value, values, wake)
+                            {
                                 break;
                             }
                             if self.value_tracing() {
@@ -481,7 +475,9 @@ impl BaselineNode {
                         break;
                     }
                     if !self.line_owned(addr.line()) {
-                        self.want_line(now, addr.line(), true, None);
+                        if self.want_line(now, addr.line(), true, None) {
+                            wake.progress();
+                        }
                         break;
                     }
                     let old = values.read(addr);
@@ -529,6 +525,7 @@ impl BaselineNode {
                     budget -= 1;
                 }
             }
+            wake.progress();
         }
     }
 
@@ -588,8 +585,8 @@ impl BaselineNode {
     /// only perform `l1_latency` after the previous (requirement (i) of
     /// the straightforward SC implementation; the paper's baseline lacks
     /// R10000-style speculative reordering).
-    fn may_perform_mem(&self, now: Cycle) -> bool {
-        self.model != BaselineModel::Sc || now >= self.last_mem_retire + self.cfg.l1_latency
+    fn may_perform_mem(&self, wake: &mut Wake) -> bool {
+        self.model != BaselineModel::Sc || wake.due(self.last_mem_retire + self.cfg.l1_latency)
     }
 
     fn note_mem_retire(&mut self, now: Cycle) {
@@ -606,13 +603,16 @@ impl BaselineNode {
         addr: Addr,
         value: u64,
         values: &mut ValueStore,
+        wake: &mut Wake,
     ) -> bool {
         if self.line_owned(addr.line()) {
             values.write(addr, value);
             self.l1.set_state(addr.line(), LineState::Dirty);
             return true;
         }
-        self.want_line(now, addr.line(), true, None);
+        if self.want_line(now, addr.line(), true, None) {
+            wake.progress();
+        }
         false
     }
 
@@ -623,7 +623,7 @@ impl BaselineNode {
         )
     }
 
-    fn drain_store_buffer(&mut self, now: Cycle, _fab: &mut Fabric, values: &mut ValueStore) {
+    fn drain_store_buffer(&mut self, now: Cycle, values: &mut ValueStore, wake: &mut Wake) {
         // Head drains when owned; deeper entries get exclusive prefetches.
         while let Some(head) = self.store_buffer.front().cloned() {
             if self.line_owned(head.addr.line()) {
@@ -641,8 +641,11 @@ impl BaselineNode {
                     });
                 }
                 self.store_buffer.pop_front();
+                wake.progress();
             } else {
-                self.want_line(now, head.addr.line(), true, None);
+                if self.want_line(now, head.addr.line(), true, None) {
+                    wake.progress();
+                }
                 break;
             }
         }
@@ -655,13 +658,13 @@ impl BaselineNode {
             .map(|e| e.addr.line())
             .collect();
         for line in prefetch {
-            if !self.line_owned(line) {
-                self.want_line(now, line, true, None);
+            if !self.line_owned(line) && self.want_line(now, line, true, None) {
+                wake.progress();
             }
         }
     }
 
-    fn issue(&mut self, now: Cycle, _fab: &mut Fabric) {
+    fn issue(&mut self, now: Cycle, wake: &mut Wake) {
         // RC/SC++: loads issue as soon as they are in the window, stores
         // prefetch ownership immediately. SC: requirement (i) permits only
         // the bounded prefetch lookahead — memory ops beyond the first
@@ -693,6 +696,9 @@ impl BaselineNode {
             if slot.state == SlotState::Waiting {
                 to_start.push((slot.id(), slot.instr));
             }
+        }
+        if !to_start.is_empty() {
+            wake.progress();
         }
         for (id, instr) in to_start {
             match instr {
@@ -727,35 +733,48 @@ impl BaselineNode {
     }
 
     /// Register interest in `line`; `excl` requires ownership; `waiter` is
-    /// a load slot to complete on arrival.
-    fn want_line(&mut self, now: Cycle, line: LineAddr, excl: bool, waiter: Option<SlotId>) {
-        let entry = self.misses.entry(line).or_insert_with(|| MissEntry {
-            excl,
-            sent: false,
-            sent_at: 0,
-            retry_at: now,
-            waiting_loads: Vec::new(),
-            invalidated: false,
+    /// a load slot to complete on arrival. Returns true if this opened a
+    /// miss or upgraded one to exclusive.
+    fn want_line(
+        &mut self,
+        now: Cycle,
+        line: LineAddr,
+        excl: bool,
+        waiter: Option<SlotId>,
+    ) -> bool {
+        let mut changed = false;
+        let entry = self.misses.entry(line).or_insert_with(|| {
+            changed = true;
+            MissEntry {
+                excl,
+                sent: false,
+                sent_at: 0,
+                retry_at: now,
+                waiting_loads: Vec::new(),
+                invalidated: false,
+            }
         });
+        changed |= excl && !entry.excl;
         entry.excl |= excl;
         if let Some(w) = waiter {
             if !entry.waiting_loads.contains(&w) {
                 entry.waiting_loads.push(w);
             }
         }
+        changed
     }
 
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric) {
+    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
         let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
         let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
         if budget == 0 {
-            return;
+            return; // only a fill or a nack (a message) frees an MSHR
         }
         // Deterministic order: by line address.
         let mut lines: Vec<LineAddr> = self
             .misses
             .iter()
-            .filter(|(_, m)| !m.sent && m.retry_at <= now)
+            .filter(|(_, m)| !m.sent && wake.due(m.retry_at))
             .map(|(&l, _)| l)
             .collect();
         lines.sort_unstable();
@@ -764,7 +783,6 @@ impl BaselineNode {
                 break;
             }
             let src = self.id();
-            let dst = self.dir_node(line);
             let m = self.misses.get_mut(&line).expect("listed above");
             let msg = if m.excl {
                 if self.l1.state(line) == Some(LineState::Shared) {
@@ -778,12 +796,13 @@ impl BaselineNode {
             m.sent = true;
             m.sent_at = now;
             self.stats.l1_misses += 1;
-            fab.send(now, src, dst, msg);
+            fab.send(now, src, NodeId::Dir(0), msg);
+            wake.progress();
             budget -= 1;
         }
     }
 
-    fn fetch(&mut self, _now: Cycle) {
+    fn fetch(&mut self, wake: &mut Wake) {
         if self.awaiting.is_some() {
             return;
         }
@@ -793,7 +812,10 @@ impl BaselineNode {
             }
             if self.stats.retired + self.window.occupancy() >= self.budget {
                 // Budget reached: stop fetching; in-flight work drains.
-                self.program_done = true;
+                if !self.program_done {
+                    self.program_done = true;
+                    wake.progress();
+                }
                 return;
             }
             // SC++ epoch boundary at fetch time. Consecutive squashes
@@ -801,6 +823,7 @@ impl BaselineNode {
             // before the next conflicting invalidation lands.
             if self.model == BaselineModel::Scpp && self.epoch_fetched >= self.epoch_len() {
                 self.open_epoch();
+                wake.progress();
             }
             // Fetching consumes the program's next instruction before we
             // know whether the window has room, so a rejected instruction
@@ -808,6 +831,7 @@ impl BaselineNode {
             let instr = match self.stash.take() {
                 Some(i) => i,
                 None => {
+                    wake.progress();
                     let feed = self.feed.take();
                     match self.program.next(feed) {
                         Some(i) => i,
@@ -820,6 +844,7 @@ impl BaselineNode {
             };
             match self.window.push(instr) {
                 Some(id) => {
+                    wake.progress();
                     self.epoch_fetched += instr.dynamic_count();
                     self.slot_epochs.insert(id, self.current_epoch);
                     if instr.consumes_value() {
@@ -835,7 +860,7 @@ impl BaselineNode {
         }
     }
 
-    fn check_finished(&mut self, now: Cycle) {
+    fn check_finished(&mut self, now: Cycle, wake: &mut Wake) {
         if self.stats.finished_at.is_none()
             && self.program_done
             && self.stash.is_none()
@@ -843,86 +868,8 @@ impl BaselineNode {
             && self.store_buffer.is_empty()
         {
             self.stats.finished_at = Some(now);
+            wake.progress();
         }
-    }
-
-    /// Earliest cycle at which this node may do useful work. Used by the
-    /// surrounding system to skip idle cycles; returning `now` is always
-    /// safe.
-    pub fn idle_until(&self, now: Cycle) -> Cycle {
-        if self.finished() {
-            return self
-                .deferred_fetches
-                .iter()
-                .map(|&(c, ..)| c)
-                .min()
-                .unwrap_or(Cycle::MAX);
-        }
-        // Un-issued memory operations are immediate work.
-        if self.window.iter().any(|s| s.state == SlotState::Waiting) {
-            return now;
-        }
-        // Retirable or fetchable work right now?
-        if let Some(head) = self.window.oldest() {
-            let retirable = match head.instr {
-                Instr::Compute(_) => true,
-                Instr::Fence => self.model != BaselineModel::Tso || self.store_buffer.is_empty(),
-                Instr::Load { .. } => head.state == SlotState::Done && self.may_perform_mem(now),
-                // "Line not owned with no miss registered" counts as
-                // retirable work: the retire pass is what files the
-                // ownership request, and nothing else will wake us to do
-                // it (e.g. the store buffer drained after retire already
-                // broke this cycle, or an invalidated in-flight fill
-                // dropped the miss).
-                Instr::Store { .. } => match self.model {
-                    BaselineModel::Sc => {
-                        let line = head_line(head.instr);
-                        (self.line_owned(line) || !self.misses.contains_key(&line))
-                            && self.may_perform_mem(now)
-                    }
-                    _ => self.store_buffer.len() < self.cfg.store_buffer as usize,
-                },
-                Instr::Rmw { .. } => {
-                    let line = head_line(head.instr);
-                    self.store_buffer.is_empty()
-                        && (self.line_owned(line) || !self.misses.contains_key(&line))
-                }
-                Instr::Io => self.store_buffer.is_empty() && self.misses.is_empty(),
-            };
-            if retirable {
-                return now;
-            }
-        }
-        if (!self.program_done || self.stash.is_some()) && self.awaiting.is_none() {
-            return now;
-        }
-        if self
-            .store_buffer
-            .front()
-            .map(|e| self.line_owned(e.addr.line()) || !self.misses.contains_key(&e.addr.line()))
-            .unwrap_or(false)
-        {
-            return now;
-        }
-        if self.misses.values().any(|m| !m.sent && m.retry_at <= now) {
-            return now;
-        }
-        let mut t = Cycle::MAX;
-        if let Some(&Reverse((c, _))) = self.completions.peek() {
-            t = t.min(c);
-        }
-        for &(c, ..) in &self.deferred_fetches {
-            t = t.min(c);
-        }
-        if self.model == BaselineModel::Sc && !self.window.is_empty() {
-            t = t.min(self.last_mem_retire + self.cfg.l1_latency);
-        }
-        for m in self.misses.values() {
-            if !m.sent {
-                t = t.min(m.retry_at);
-            }
-        }
-        t.max(now + 1)
     }
 
     /// One-line diagnostic snapshot (for debugging stuck systems).
@@ -1095,7 +1042,7 @@ impl BaselineNode {
                 fab.send(
                     now,
                     self.id(),
-                    self.dir_node(victim),
+                    NodeId::Dir(0),
                     Message::Writeback {
                         line: victim,
                         keep_shared: false,
@@ -1192,15 +1139,17 @@ impl BaselineNode {
     }
 
     /// Answer fetches deferred behind our own in-flight fills.
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric) {
-        let due: Vec<(Cycle, LineAddr, NodeId, bool)> = self
-            .deferred_fetches
-            .iter()
-            .filter(|(t, ..)| *t <= now)
-            .copied()
-            .collect();
-        self.deferred_fetches.retain(|(t, ..)| *t > now);
-        for (_, line, src, for_excl) in due {
+    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
+        let mut due = Vec::new();
+        self.deferred_fetches.retain(|&(t, line, src, for_excl)| {
+            let answer = wake.due(t);
+            if answer {
+                due.push((line, src, for_excl));
+            }
+            !answer
+        });
+        for (line, src, for_excl) in due {
+            wake.progress();
             self.surrender_line(now, line, src, for_excl, fab);
         }
     }
@@ -1320,8 +1269,4 @@ impl BaselineNode {
         self.epochs.truncate(pos);
         self.open_epoch();
     }
-}
-
-fn head_line(i: Instr) -> LineAddr {
-    i.addr().expect("memory instruction").line()
 }

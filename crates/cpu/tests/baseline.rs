@@ -20,10 +20,6 @@ struct Mini {
     now: u64,
 }
 
-fn dir_of(_: bulksc_sig::LineAddr) -> u32 {
-    0
-}
-
 impl Mini {
     fn new(model: BaselineModel, programs: Vec<Box<dyn ThreadProgram>>) -> Self {
         let nodes = programs
@@ -37,7 +33,6 @@ impl Mini {
                     CacheConfig::l1_default(),
                     p,
                     u64::MAX,
-                    dir_of,
                 )
             })
             .collect();

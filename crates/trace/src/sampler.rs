@@ -124,6 +124,12 @@ impl IntervalSeries {
         now >= self.next_at
     }
 
+    /// The next sample boundary: the first cycle at which [`Self::due`]
+    /// holds.
+    pub fn next_at(&self) -> u64 {
+        self.next_at
+    }
+
     /// Re-baseline the series at `now` with the current cumulative totals.
     ///
     /// A series created mid-run would otherwise compute its first sample's

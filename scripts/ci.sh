@@ -52,6 +52,13 @@ run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-fuzz -- \
   --seeds 6 --time-box 60 --jobs 2 --metrics > /dev/null
 
+# Wake audit under fuzz traffic: a debug build ticks every sleeping core
+# anyway and panics if that tick did any work (`System::step`), a check
+# the release sweep above compiles out. Fuzz runs are where cores sleep
+# most, so a short debug box is where a too-late wakeup shows first.
+run cargo run -q --offline -p bulksc-bench --bin bulksc-fuzz -- \
+  --seeds 6 --time-box 60 --jobs 2 > /dev/null
+
 # Model-parametric oracle gate (SC vs TSO discrimination): the demo
 # hunts a real store-buffering execution on the TSO baseline and writes
 # its value trace. The SC oracle must refuse that trace (exit 1) naming
