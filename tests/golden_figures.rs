@@ -121,3 +121,20 @@ fn xray_report_matches_golden() {
     );
     compare_or_bless("xray.txt", &report.text);
 }
+
+/// The metrics registry's deterministic surface over fig9 plus the
+/// ablations, pinned value by value. Ablation 4 runs four directories
+/// behind the G-arbiter, so every `sim_garb_*` counter is non-zero here
+/// too. This is the only test that pins the registry's values rather
+/// than comparing two runs with each other.
+#[test]
+fn metrics_registry_matches_golden() {
+    use bulksc_metrics as metrics;
+    metrics::reset_global();
+    metrics::enable();
+    figures::fig9(BUDGET, JOBS);
+    figures::ablations(BUDGET, JOBS);
+    let mut snap = metrics::disable();
+    snap.merge(&metrics::take_global());
+    compare_or_bless("metrics.txt", &snap.deterministic_text());
+}
