@@ -118,8 +118,9 @@ fn stderr_line(name: &str, start_ns: u64, live: metrics::live::LiveSnapshot) -> 
     } else {
         String::new()
     };
-    // Squash rates by cause, visible only once squashes happen — the
-    // live read on a squash storm (`EXPERIMENTS.md` walkthrough).
+    // Squash rates by cause, shown once a finished run has reported
+    // squashes — the first read on a squash storm (`EXPERIMENTS.md`
+    // walkthrough).
     let squashed = live.squashes_true + live.squashes_alias + live.squashes_overflow;
     let squashes = if squashed > 0 && elapsed_s > 0.0 {
         format!(

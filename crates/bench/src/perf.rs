@@ -344,6 +344,9 @@ pub fn run_scenario(s: &Scenario, budget: u64, warmup: u32, reps: u32) -> Scenar
             }
         }
         let pr = prof::disable();
+        // The run reaches the registry when it is dropped, so the system
+        // must go before the shard closes.
+        drop(sys);
         if s.metrics && !outer_metrics {
             bulksc_metrics::publish(bulksc_metrics::disable());
         }

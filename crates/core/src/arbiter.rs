@@ -22,7 +22,6 @@
 
 use std::collections::HashMap;
 
-use bulksc_metrics as metrics;
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
 use bulksc_sig::TrackedSig;
 use bulksc_stats::{Histogram, TimeWeighted};
@@ -46,6 +45,8 @@ pub struct ArbStats {
     pub rsig_required: u64,
     /// Time-weighted occupancy of the W list.
     pub pending_w: TimeWeighted,
+    /// Most W signatures the list ever held at once.
+    pub pending_w_peak: u64,
     /// Pre-arbitration grants issued.
     pub prearbs: u64,
     /// Directory-update latency of granted commits: grant issued to the
@@ -162,7 +163,7 @@ impl Arbiter {
 
     fn note_occupancy(&mut self, now: Cycle) {
         self.stats.pending_w.set(now, self.w_list.len() as f64);
-        metrics::gauge_peak(metrics::Gauge::ArbPendingWPeak, self.w_list.len() as u64);
+        self.stats.pending_w_peak = self.stats.pending_w_peak.max(self.w_list.len() as u64);
     }
 
     /// True if `w`/`r` collide with any currently-committing W signature.
@@ -248,7 +249,6 @@ impl Arbiter {
     ) {
         let core = Self::core_index(src);
         self.stats.requests += 1;
-        metrics::inc(metrics::Counter::ArbRequests);
 
         // Pre-arbitration: the starved core's own request ends the episode.
         if self.prearb == Some(core) {
@@ -259,7 +259,6 @@ impl Arbiter {
             }
         } else if self.prearb.is_some() {
             self.stats.denials += 1;
-            metrics::inc(metrics::Counter::ArbDenials);
             // A pre-arbitration lockout has no colliding signature: the
             // aggressor is the starved core holding execute permission.
             let attr = self.xray.then(|| ConflictAttr {
@@ -336,7 +335,6 @@ impl Arbiter {
     ) {
         if self.collides(&w, Some(r)) {
             self.stats.denials += 1;
-            metrics::inc(metrics::Counter::ArbDenials);
             let attr = self.deny_attr(&w, Some(r));
             self.trace.emit(now, || Event::CommitDeny {
                 core: chunk.core,
@@ -359,7 +357,6 @@ impl Arbiter {
     /// and track completion.
     fn grant(&mut self, now: Cycle, core: u32, chunk: ChunkTag, w: TrackedSig, fab: &mut Fabric) {
         self.stats.grants += 1;
-        metrics::inc(metrics::Counter::ArbGrants);
         self.trace.emit(now, || Event::CommitGrant {
             core: chunk.core,
             seq: chunk.seq,

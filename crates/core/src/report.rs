@@ -6,11 +6,12 @@
 //! coherence columns are precomputed here, and Figure 11 reads the traffic
 //! breakdown.
 
+use bulksc_metrics::{self as metrics, Counter, Gauge, Hist};
 use bulksc_net::{TrafficClass, TrafficStats};
 use bulksc_stats::{per_100k, per_1k, percent, CycleLoss, Histogram};
-use bulksc_trace::Json;
+use bulksc_trace::{Json, SquashCause};
 
-use crate::system::System;
+use crate::system::{CoreNode, System};
 
 /// Everything one experiment run produces.
 #[derive(Clone, Debug)]
@@ -172,7 +173,7 @@ impl SimReport {
             if let Some(b) = n.bulk_stats() {
                 retired += b.retired;
                 squashed += b.squashed_instrs;
-                chunks += b.chunks_committed;
+                chunks += b.chunk_instrs.count();
                 alias_squashes += b.alias_squashes + b.overflow_squashes;
                 true_squashes += b.true_squashes;
                 read_disp += b.read_set_displacements;
@@ -363,6 +364,51 @@ impl SimReport {
     }
 }
 
+/// Render a run's component stats into this thread's metrics shard. This
+/// is the only place simulator totals reach the registry: `System`'s
+/// `Drop` calls it when metrics are enabled, so every metered run is
+/// counted once, when it ends, and no simulator hot path records anything.
+pub(crate) fn publish_metrics(sys: &System) {
+    for b in sys.nodes().iter().filter_map(CoreNode::bulk_stats) {
+        metrics::merge_hist(Hist::ChunkInstrs, &b.chunk_instrs);
+        metrics::add(Counter::ChunksCommitted, b.chunk_instrs.count());
+        metrics::add(Counter::InstrsCommitted, b.chunk_instrs.sum());
+        metrics::add(Counter::InstrsSquashed, b.squashed_instrs);
+        metrics::add(Counter::SigFpExtraInvs, b.extra_cache_invs);
+        for (cause, n) in [
+            (SquashCause::TrueSharing, b.true_squashes),
+            (SquashCause::Alias, b.alias_squashes),
+            (SquashCause::Overflow, b.overflow_squashes),
+        ] {
+            metrics::add(Counter::for_squash_cause(cause), n);
+            metrics::live::add_squashes(cause, n);
+        }
+    }
+    for a in sys.arbiter_stats() {
+        metrics::add(Counter::ArbRequests, a.requests);
+        metrics::add(Counter::ArbDenials, a.denials);
+        metrics::add(Counter::ArbGrants, a.grants);
+        metrics::gauge_peak(Gauge::ArbPendingWPeak, a.pending_w_peak);
+    }
+    if let Some(g) = sys.garbiter_stats() {
+        metrics::add(Counter::GarbRequests, g.requests);
+        metrics::add(Counter::GarbFastDenials, g.fast_denials);
+        metrics::add(Counter::GarbDenials, g.denials);
+    }
+    for d in sys.dir_stats() {
+        metrics::add(Counter::DirWsigsReceived, d.wsigs_received);
+        metrics::add(Counter::DirLookups, d.lookups);
+        metrics::add(Counter::DirLookupsUnnecessary, d.unnecessary_lookups);
+        metrics::add(Counter::DirUpdates, d.updates);
+        metrics::add(Counter::DirUpdatesUnnecessary, d.unnecessary_updates);
+        metrics::add(Counter::DirInvTargets, d.inv_targets);
+    }
+    metrics::add(Counter::FabricMessages, sys.traffic().messages());
+    metrics::add(Counter::FabricBytes, sys.traffic().total());
+    metrics::gauge_peak(Gauge::FabricDepthPeak, sys.fabric_peak_in_flight() as u64);
+    metrics::add(Counter::RunsCompleted, sys.finished() as u64);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -446,6 +492,36 @@ mod tests {
         assert_eq!(r.arb_denials, r.arb_requests - r.chunks_committed);
         let expected = r.arb_denials as f64 / r.chunks_committed as f64;
         assert!((r.denials_per_commit - expected).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_metered_system_renders_its_stats_when_dropped() {
+        metrics::enable();
+        let sys = contended_run();
+        let r = SimReport::collect(&sys);
+        assert!(metrics::disable().is_empty(), "a live run records nothing");
+
+        metrics::enable();
+        drop(sys);
+        let snap = metrics::disable();
+        let c = |counter| snap.counter(counter);
+        assert_eq!(c(Counter::ChunksCommitted), r.chunks_committed);
+        assert_eq!(snap.hist(Hist::ChunkInstrs).count(), r.chunks_committed);
+        assert_eq!(c(Counter::InstrsSquashed), r.squashed_instrs);
+        assert_eq!(c(Counter::SquashesTrueSharing), r.true_squashes);
+        assert_eq!(
+            c(Counter::SquashesAlias) + c(Counter::SquashesOverflow),
+            r.alias_squashes
+        );
+        // One central arbiter: the G-arbiter counters stay zero.
+        assert_eq!(c(Counter::ArbRequests), r.arb_requests);
+        assert_eq!(c(Counter::ArbDenials), r.arb_denials);
+        assert_eq!(c(Counter::GarbRequests), 0);
+        assert_eq!(c(Counter::FabricMessages), r.traffic.messages());
+        assert_eq!(c(Counter::FabricBytes), r.traffic.total());
+        assert_eq!(c(Counter::RunsCompleted), 1);
+        assert!(snap.gauge(Gauge::FabricDepthPeak) > 0);
+        assert!(snap.gauge(Gauge::ArbPendingWPeak) > 0);
     }
 
     #[test]

@@ -304,6 +304,11 @@ impl System {
         self.fabric.traffic()
     }
 
+    /// The most messages ever in flight at once.
+    pub fn fabric_peak_in_flight(&self) -> usize {
+        self.fabric.peak_in_flight()
+    }
+
     /// The core endpoints (stats, programs, observations).
     pub fn nodes(&self) -> &[CoreNode] {
         &self.nodes
@@ -392,7 +397,6 @@ impl System {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Run);
         while self.now < max_cycles {
             if self.finished() {
-                bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
                 return true;
             }
             // Fast-forward: if no core is due now and no message is, jump
@@ -402,11 +406,7 @@ impl System {
             let mut next = node_next.min(net_next);
             if next == Cycle::MAX {
                 // Nothing will ever happen again.
-                if self.finished() {
-                    bulksc_metrics::inc(bulksc_metrics::Counter::RunsCompleted);
-                    return true;
-                }
-                return false;
+                return self.finished();
             }
             if let Some(s) = &self.sampler {
                 next = next.min(s.next_at());
@@ -449,5 +449,15 @@ impl System {
             s.push_str(&ring);
         }
         s
+    }
+}
+
+impl Drop for System {
+    /// A metered run is counted once, when it ends: its components' stats
+    /// are rendered into this thread's metrics shard.
+    fn drop(&mut self) {
+        if bulksc_metrics::is_enabled() {
+            crate::report::publish_metrics(self);
+        }
     }
 }

@@ -4,19 +4,22 @@
 //!
 //! `SimReport` aggregates one run after the fact; `bulksc-prof` attributes
 //! host time; this crate is the third leg: named counters, high-water
-//! gauges, and histograms that any layer (simulator core, worker pool,
-//! experiment binaries) can increment cheaply, collected per thread and
-//! merged into one process-wide [`MetricsSnapshot`] for live heartbeats
-//! and a Prometheus-style text exposition.
+//! gauges, and histograms, collected per thread and merged into one
+//! process-wide [`MetricsSnapshot`] for live heartbeats and a
+//! Prometheus-style text exposition. The simulator's series are rendered
+//! from its components' own stats blocks: a dropped `bulksc::System`
+//! folds its run's totals into the thread's shard in one call. The worker
+//! pool records its job series directly.
 //!
 //! # Design constraints
 //!
-//! * **Off by default, and cheap when off.** Every increment first reads
-//!   one `const`-initialized thread-local flag ([`is_enabled`]) and
-//!   returns immediately when metrics are disabled — the same zero-cost
-//!   discipline as `bulksc-prof::scope`. Enabling metrics cannot change a
-//!   single simulated cycle, event, or artifact byte (enforced by
-//!   `tests/metrics_determinism.rs` at the workspace root).
+//! * **Off by default, and out of band.** Every recording call first
+//!   reads one `const`-initialized thread-local flag ([`is_enabled`]) and
+//!   returns immediately when metrics are disabled. No simulator hot path
+//!   records anything: the registry only reads a run's totals after the
+//!   fact, so enabling metrics cannot change a single simulated cycle,
+//!   event, or artifact byte (enforced by `tests/metrics_determinism.rs`
+//!   at the workspace root).
 //! * **Sharded per thread, merged deterministically.** All registry state
 //!   is thread-local. Each `bulksc_bench::pool` worker brackets its jobs
 //!   with [`enable`]/[`disable`] and [`publish`]es the resulting snapshot
@@ -35,139 +38,107 @@
 //!
 //! The [`live`] module is the one intentional exception to thread-local
 //! sharding: a handful of process-global relaxed atomics (jobs done /
-//! total / in flight, queue depth and its peak) that the sweep heartbeat
-//! thread reads while workers are still running. Live state carries
-//! progress only — never simulated results.
+//! total / in flight, queue depth and its peak, and the squash tallies
+//! of finished runs) that the sweep heartbeat thread reads while workers
+//! are still running. Live state feeds heartbeat lines only — never an
+//! artifact.
 
 use std::cell::{Cell, RefCell};
 use std::sync::Mutex;
 
 use bulksc_stats::Histogram;
 
-/// The static registry of workspace counters (monotonic event totals).
-///
-/// Fixed IDs so an increment is an array index, not a hash lookup; the
-/// names below are the stable strings the text exposition carries
-/// (prefixed `bulksc_`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Counter {
-    /// Chunks committed across all cores.
-    ChunksCommitted,
-    /// Instructions inside committed chunks.
-    InstrsCommitted,
-    /// Squashes caused by true sharing.
-    SquashesTrueSharing,
-    /// Squashes caused by signature aliasing (false positives).
-    SquashesAlias,
-    /// Squashes caused by speculative-state overflow.
-    SquashesOverflow,
-    /// Instructions discarded by squashes.
-    InstrsSquashed,
-    /// Extra cache-line invalidations caused by signature aliasing.
-    SigFpExtraInvs,
-    /// Commit requests received by the (central or distributed) arbiters.
-    ArbRequests,
-    /// Commit requests denied by the arbiters.
-    ArbDenials,
-    /// Commit requests granted by the arbiters.
-    ArbGrants,
-    /// Proposals received by the G-arbiter (distributed mode).
-    GarbRequests,
-    /// G-arbiter fast-path denials (conflict known without a vote).
-    GarbFastDenials,
-    /// G-arbiter full denials after a vote.
-    GarbDenials,
-    /// W signatures received by the directories for expansion.
-    DirWsigsReceived,
-    /// Directory tag lookups driven by signature expansion.
-    DirLookups,
-    /// Lookups that hit no real line (signature false positives).
-    DirLookupsUnnecessary,
-    /// Directory state updates driven by signature expansion.
-    DirUpdates,
-    /// Updates to lines the chunk never wrote (false positives).
-    DirUpdatesUnnecessary,
-    /// Sharer cores targeted by commit invalidations.
-    DirInvTargets,
-    /// Messages sent on the interconnect (hops).
-    FabricMessages,
-    /// Bytes moved on the interconnect.
-    FabricBytes,
-    /// Simulated runs driven to completion.
-    RunsCompleted,
-    /// Pool jobs completed.
-    PoolJobsCompleted,
-    /// Pool jobs that panicked.
-    PoolJobsPanicked,
+/// Declares one registry family from a single table: the enum (fixed
+/// `#[repr(u8)]` ids in declaration order, so recording is an array
+/// index, not a hash lookup), its member count, `ALL` in registry order,
+/// and `name()`, the stable string the exposition carries (without the
+/// `bulksc_` prefix).
+macro_rules! registry {
+    (
+        $(#[$meta:meta])* $family:ident, $count:ident;
+        $($(#[$doc:meta])* $member:ident => $name:literal,)+
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[repr(u8)]
+        pub enum $family {
+            $($(#[$doc])* $member,)+
+        }
+
+        #[doc = concat!("Number of registered `", stringify!($family), "` members.")]
+        pub const $count: usize = [$($name),+].len();
+
+        impl $family {
+            /// Every member, in registry order.
+            pub const ALL: [$family; $count] = [$($family::$member),+];
+
+            /// The stable exposition name (without the `bulksc_` prefix).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($family::$member => $name,)+
+                }
+            }
+        }
+    };
 }
 
-/// Number of registered counters.
-pub const COUNTER_COUNT: usize = 24;
+registry! {
+    /// The static registry of workspace counters (monotonic event totals).
+    Counter, COUNTER_COUNT;
+    /// Chunks committed across all cores.
+    ChunksCommitted => "sim_chunks_committed",
+    /// Instructions inside committed chunks.
+    InstrsCommitted => "sim_instrs_committed",
+    /// Squashes caused by true sharing.
+    SquashesTrueSharing => "sim_squashes_true_sharing",
+    /// Squashes caused by signature aliasing (false positives).
+    SquashesAlias => "sim_squashes_alias",
+    /// Squashes caused by speculative-state overflow.
+    SquashesOverflow => "sim_squashes_overflow",
+    /// Instructions discarded by squashes.
+    InstrsSquashed => "sim_instrs_squashed",
+    /// Extra cache-line invalidations caused by signature aliasing.
+    SigFpExtraInvs => "sim_sig_fp_extra_invs",
+    /// Commit requests received by the (central or distributed) arbiters.
+    ArbRequests => "sim_arb_requests",
+    /// Commit requests denied by the arbiters.
+    ArbDenials => "sim_arb_denials",
+    /// Commit requests granted by the arbiters.
+    ArbGrants => "sim_arb_grants",
+    /// Proposals received by the G-arbiter (distributed mode).
+    GarbRequests => "sim_garb_requests",
+    /// G-arbiter fast-path denials (conflict known without a vote).
+    GarbFastDenials => "sim_garb_fast_denials",
+    /// G-arbiter full denials after a vote.
+    GarbDenials => "sim_garb_denials",
+    /// W signatures received by the directories for expansion.
+    DirWsigsReceived => "sim_dir_wsigs_received",
+    /// Directory tag lookups driven by signature expansion.
+    DirLookups => "sim_dir_lookups",
+    /// Lookups that hit no real line (signature false positives).
+    DirLookupsUnnecessary => "sim_dir_lookups_unnecessary",
+    /// Directory state updates driven by signature expansion.
+    DirUpdates => "sim_dir_updates",
+    /// Updates to lines the chunk never wrote (false positives).
+    DirUpdatesUnnecessary => "sim_dir_updates_unnecessary",
+    /// Sharer cores targeted by commit invalidations.
+    DirInvTargets => "sim_dir_inv_targets",
+    /// Messages sent on the interconnect (hops).
+    FabricMessages => "sim_fabric_messages",
+    /// Bytes moved on the interconnect.
+    FabricBytes => "sim_fabric_bytes",
+    /// Simulated runs driven to completion.
+    RunsCompleted => "sim_runs_completed",
+    /// Pool jobs completed.
+    PoolJobsCompleted => "pool_jobs_completed",
+    /// Pool jobs that panicked.
+    PoolJobsPanicked => "pool_jobs_panicked",
+}
 
 impl Counter {
-    /// Every counter, in registry order.
-    pub const ALL: [Counter; COUNTER_COUNT] = [
-        Counter::ChunksCommitted,
-        Counter::InstrsCommitted,
-        Counter::SquashesTrueSharing,
-        Counter::SquashesAlias,
-        Counter::SquashesOverflow,
-        Counter::InstrsSquashed,
-        Counter::SigFpExtraInvs,
-        Counter::ArbRequests,
-        Counter::ArbDenials,
-        Counter::ArbGrants,
-        Counter::GarbRequests,
-        Counter::GarbFastDenials,
-        Counter::GarbDenials,
-        Counter::DirWsigsReceived,
-        Counter::DirLookups,
-        Counter::DirLookupsUnnecessary,
-        Counter::DirUpdates,
-        Counter::DirUpdatesUnnecessary,
-        Counter::DirInvTargets,
-        Counter::FabricMessages,
-        Counter::FabricBytes,
-        Counter::RunsCompleted,
-        Counter::PoolJobsCompleted,
-        Counter::PoolJobsPanicked,
-    ];
-
-    /// The stable name the exposition carries (without the `bulksc_`
-    /// prefix).
-    pub fn name(self) -> &'static str {
-        match self {
-            Counter::ChunksCommitted => "sim_chunks_committed",
-            Counter::InstrsCommitted => "sim_instrs_committed",
-            Counter::SquashesTrueSharing => "sim_squashes_true_sharing",
-            Counter::SquashesAlias => "sim_squashes_alias",
-            Counter::SquashesOverflow => "sim_squashes_overflow",
-            Counter::InstrsSquashed => "sim_instrs_squashed",
-            Counter::SigFpExtraInvs => "sim_sig_fp_extra_invs",
-            Counter::ArbRequests => "sim_arb_requests",
-            Counter::ArbDenials => "sim_arb_denials",
-            Counter::ArbGrants => "sim_arb_grants",
-            Counter::GarbRequests => "sim_garb_requests",
-            Counter::GarbFastDenials => "sim_garb_fast_denials",
-            Counter::GarbDenials => "sim_garb_denials",
-            Counter::DirWsigsReceived => "sim_dir_wsigs_received",
-            Counter::DirLookups => "sim_dir_lookups",
-            Counter::DirLookupsUnnecessary => "sim_dir_lookups_unnecessary",
-            Counter::DirUpdates => "sim_dir_updates",
-            Counter::DirUpdatesUnnecessary => "sim_dir_updates_unnecessary",
-            Counter::DirInvTargets => "sim_dir_inv_targets",
-            Counter::FabricMessages => "sim_fabric_messages",
-            Counter::FabricBytes => "sim_fabric_bytes",
-            Counter::RunsCompleted => "sim_runs_completed",
-            Counter::PoolJobsCompleted => "pool_jobs_completed",
-            Counter::PoolJobsPanicked => "pool_jobs_panicked",
-        }
-    }
-
     /// The counter that tallies squashes of `cause`. This is the single
     /// source of truth binding the trace vocabulary to the metrics
-    /// registry: the simulator core increments squash counters through
+    /// registry: the simulator core renders squash counters through
     /// this mapping, and a test below pins each mapped counter's
     /// exposition name to the cause's trace label so the two surfaces can
     /// never drift.
@@ -181,40 +152,20 @@ impl Counter {
     }
 }
 
-/// Registered gauges. Gauges here are *high-water marks*: [`gauge_peak`]
-/// keeps the maximum observed value, and shards merge by maximum — the
-/// only gauge semantic whose merge is order- and width-independent.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Gauge {
+registry! {
+    /// Registered gauges. Gauges here are *high-water marks*: [`gauge_peak`]
+    /// keeps the maximum observed value, and shards merge by maximum — the
+    /// only gauge semantic whose merge is order- and width-independent.
+    Gauge, GAUGE_COUNT;
     /// Peak messages simultaneously in flight in one fabric.
-    FabricDepthPeak,
+    FabricDepthPeak => "sim_fabric_depth_peak",
     /// Peak W signatures simultaneously held by one arbiter.
-    ArbPendingWPeak,
+    ArbPendingWPeak => "sim_arb_pending_w_peak",
     /// Peak depth of the pool's pending-job queue.
-    PoolQueueDepthPeak,
+    PoolQueueDepthPeak => "pool_queue_depth_peak",
 }
 
-/// Number of registered gauges.
-pub const GAUGE_COUNT: usize = 3;
-
 impl Gauge {
-    /// Every gauge, in registry order.
-    pub const ALL: [Gauge; GAUGE_COUNT] = [
-        Gauge::FabricDepthPeak,
-        Gauge::ArbPendingWPeak,
-        Gauge::PoolQueueDepthPeak,
-    ];
-
-    /// The stable exposition name (without the `bulksc_` prefix).
-    pub fn name(self) -> &'static str {
-        match self {
-            Gauge::FabricDepthPeak => "sim_fabric_depth_peak",
-            Gauge::ArbPendingWPeak => "sim_arb_pending_w_peak",
-            Gauge::PoolQueueDepthPeak => "pool_queue_depth_peak",
-        }
-    }
-
     /// True if the gauge tracks host-side state (excluded from the
     /// deterministic surface: it depends on wall-clock scheduling).
     pub fn host_side(self) -> bool {
@@ -222,31 +173,16 @@ impl Gauge {
     }
 }
 
-/// Registered histograms (backed by [`bulksc_stats::Histogram`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[repr(u8)]
-pub enum Hist {
+registry! {
+    /// Registered histograms (backed by [`bulksc_stats::Histogram`]).
+    Hist, HIST_COUNT;
     /// Instructions per committed chunk (simulated; deterministic).
-    ChunkInstrs,
+    ChunkInstrs => "sim_chunk_instrs",
     /// Wall nanoseconds per completed pool job (host time; noisy).
-    JobWallNs,
+    JobWallNs => "pool_job_wall_ns",
 }
 
-/// Number of registered histograms.
-pub const HIST_COUNT: usize = 2;
-
 impl Hist {
-    /// Every histogram, in registry order.
-    pub const ALL: [Hist; HIST_COUNT] = [Hist::ChunkInstrs, Hist::JobWallNs];
-
-    /// The stable exposition name (without the `bulksc_` prefix).
-    pub fn name(self) -> &'static str {
-        match self {
-            Hist::ChunkInstrs => "sim_chunk_instrs",
-            Hist::JobWallNs => "pool_job_wall_ns",
-        }
-    }
-
     /// True if the histogram measures host time (excluded from the
     /// deterministic surface).
     pub fn host_time(self) -> bool {
@@ -338,6 +274,15 @@ pub fn observe(h: Hist, v: u64) {
         return;
     }
     SHARD.with(|s| s.borrow_mut().hists[h as usize].record(v));
+}
+
+/// Merge a whole distribution into histogram `h` (a component that kept
+/// its own [`Histogram`] of the same quantity).
+pub fn merge_hist(h: Hist, other: &Histogram) {
+    if !ENABLED.with(|e| e.get()) {
+        return;
+    }
+    SHARD.with(|s| s.borrow_mut().hists[h as usize].merge(other));
 }
 
 /// A merged (or single-shard) view of the registry.
@@ -486,11 +431,11 @@ pub mod live {
     //! Process-global live progress for sweep heartbeats.
     //!
     //! Unlike the sharded registry, these are relaxed atomics a heartbeat
-    //! thread can read while pool workers are mid-job. They carry *host
-    //! progress only* (job counts, queue depth); simulated quantities
-    //! never pass through here. Activation is process-wide: the pool
-    //! only spends atomic operations on live state when a `--metrics`
-    //! sweep turned it on.
+    //! thread can read while pool workers are mid-job. They carry host
+    //! progress (job counts, queue depth) and the per-cause squash
+    //! tallies of finished runs, for heartbeat lines only. Activation is
+    //! process-wide: the pool only spends atomic operations on live state
+    //! when a `--metrics` sweep turned it on.
 
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -540,15 +485,12 @@ pub mod live {
         }
     }
 
-    /// A simulated chunk was squashed for `cause`. Unlike job progress
-    /// (which the pool tracks unconditionally while active), this is
-    /// called from the simulator's squash path, so it pays one relaxed
-    /// load and returns when no `--metrics` sweep is live — the same
-    /// off-is-free discipline as the sharded registry. Counts here feed
-    /// heartbeat lines only; the authoritative totals are the registry
-    /// counters.
-    #[inline]
-    pub fn squash(cause: bulksc_trace::SquashCause) {
+    /// A finished simulated run squashed `n` chunks for `cause`. Runs
+    /// report their squashes once, when their `System` is dropped, so the
+    /// heartbeat's squash rates move as runs finish. Dropped unless a
+    /// `--metrics` sweep is live. Counts here feed heartbeat lines only;
+    /// the authoritative totals are the registry counters.
+    pub fn add_squashes(cause: bulksc_trace::SquashCause, n: u64) {
         if !is_active() {
             return;
         }
@@ -558,7 +500,7 @@ pub mod live {
             SquashCause::Alias => &SQUASHES_ALIAS,
             SquashCause::Overflow => &SQUASHES_OVERFLOW,
         };
-        slot.fetch_add(1, Ordering::Relaxed);
+        slot.fetch_add(n, Ordering::Relaxed);
     }
 
     /// A sweep enqueued `n` more jobs.
@@ -671,10 +613,12 @@ mod tests {
             );
         }
         // The mapping is injective: three causes, three distinct counters.
+        // `dedup` only drops adjacent duplicates, so sort first.
         let mut mapped: Vec<Counter> = bulksc_trace::SquashCause::ALL
             .iter()
             .map(|&c| Counter::for_squash_cause(c))
             .collect();
+        mapped.sort_by_key(|&c| c as u8);
         mapped.dedup();
         assert_eq!(mapped.len(), 3);
     }
@@ -689,19 +633,25 @@ mod tests {
         let _g = LIVE_SLOT.lock().unwrap_or_else(|p| p.into_inner());
         live::reset();
         assert!(!live::is_active());
-        live::squash(SquashCause::Alias); // inactive: dropped
+        live::add_squashes(SquashCause::Alias, 5); // inactive: dropped
         live::activate();
-        live::squash(SquashCause::TrueSharing);
-        live::squash(SquashCause::Alias);
-        live::squash(SquashCause::Alias);
-        live::squash(SquashCause::Overflow);
+        live::add_squashes(SquashCause::TrueSharing, 1);
+        live::add_squashes(SquashCause::Alias, 2);
+        live::add_squashes(SquashCause::Alias, 3);
+        live::add_squashes(SquashCause::Overflow, 1);
         let s = live::snapshot();
         assert_eq!(s.squashes_true, 1);
-        assert_eq!(s.squashes_alias, 2);
+        assert_eq!(s.squashes_alias, 5);
         assert_eq!(s.squashes_overflow, 1);
         live::deactivate();
         live::reset();
         assert_eq!(live::snapshot().squashes_alias, 0);
+    }
+
+    fn hist_of(values: &[u64]) -> Histogram {
+        let mut h = Histogram::new();
+        values.iter().for_each(|&v| h.record(v));
+        h
     }
 
     #[test]
@@ -710,6 +660,7 @@ mod tests {
         inc(Counter::ChunksCommitted);
         gauge_peak(Gauge::FabricDepthPeak, 9);
         observe(Hist::ChunkInstrs, 100);
+        merge_hist(Hist::ChunkInstrs, &hist_of(&[7, 8]));
         enable();
         let snap = disable();
         assert!(snap.is_empty(), "increments before enable must not count");
@@ -723,11 +674,14 @@ mod tests {
         gauge_peak(Gauge::ArbPendingWPeak, 3);
         gauge_peak(Gauge::ArbPendingWPeak, 2); // below peak: ignored
         observe(Hist::ChunkInstrs, 500);
+        merge_hist(Hist::ChunkInstrs, &hist_of(&[100, 900]));
         let snap = disable();
         assert_eq!(snap.counter(Counter::ChunksCommitted), 1);
         assert_eq!(snap.counter(Counter::InstrsCommitted), 500);
         assert_eq!(snap.gauge(Gauge::ArbPendingWPeak), 3);
-        assert_eq!(snap.hist(Hist::ChunkInstrs).count(), 1);
+        let chunks = snap.hist(Hist::ChunkInstrs);
+        assert_eq!((chunks.count(), chunks.sum()), (3, 1500));
+        assert_eq!((chunks.min(), chunks.max()), (100, 900));
         // Re-enabling starts from a clean shard.
         enable();
         assert!(disable().is_empty());

@@ -8,7 +8,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use bulksc_metrics as metrics;
 use bulksc_trace::{Event, TraceHandle};
 
 use crate::msg::{Message, NodeId};
@@ -86,6 +85,7 @@ pub struct Fabric {
     cfg: FabricConfig,
     queue: BinaryHeap<Reverse<InFlight>>,
     seq: u64,
+    peak_in_flight: usize,
     traffic: TrafficStats,
     trace: TraceHandle,
 }
@@ -97,6 +97,7 @@ impl Fabric {
             cfg,
             queue: BinaryHeap::new(),
             seq: 0,
+            peak_in_flight: 0,
             traffic: TrafficStats::new(),
             trace: TraceHandle::off(),
         }
@@ -130,9 +131,6 @@ impl Fabric {
         msg: Message,
     ) {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Fabric);
-        metrics::inc(metrics::Counter::FabricMessages);
-        metrics::add(metrics::Counter::FabricBytes, msg.wire_bytes());
-        metrics::gauge_peak(metrics::Gauge::FabricDepthPeak, self.queue.len() as u64 + 1);
         msg.account(&mut self.traffic);
         self.trace.emit(now, || Event::NetSend {
             src: src.into(),
@@ -148,6 +146,7 @@ impl Fabric {
             seq,
             env: Envelope { src, dst, msg },
         }));
+        self.peak_in_flight = self.peak_in_flight.max(self.queue.len());
     }
 
     /// Pop every message whose delivery time is `<= now`, in deterministic
@@ -179,6 +178,11 @@ impl Fabric {
     /// queue-depth metric).
     pub fn in_flight(&self) -> usize {
         self.queue.len()
+    }
+
+    /// The most messages ever in flight at once.
+    pub fn peak_in_flight(&self) -> usize {
+        self.peak_in_flight
     }
 
     /// Accumulated traffic statistics.
@@ -238,6 +242,17 @@ mod tests {
         let due = f.deliver_due(100);
         assert_eq!(due[0].src, NodeId::Core(1));
         assert_eq!(due[1].src, NodeId::Core(0));
+    }
+
+    #[test]
+    fn peak_in_flight_survives_delivery() {
+        let mut f = Fabric::new(FabricConfig { hop_latency: 1 });
+        for i in 0..3 {
+            f.send(0, NodeId::Core(i), NodeId::Dir(0), read(i as u64));
+        }
+        assert_eq!(f.deliver_due(1).len(), 3);
+        f.send(1, NodeId::Core(0), NodeId::Dir(0), read(9));
+        assert_eq!((f.in_flight(), f.peak_in_flight()), (1, 3));
     }
 
     #[test]

@@ -51,6 +51,10 @@ run cargo run -q --release --offline -p bulksc-bench --bin bulksc-analyze -- \
   check results/trace_demo.jsonl --jobs 2
 run cargo run -q --release --offline -p bulksc-bench --bin bulksc-fuzz -- \
   --seeds 6 --time-box 60 --jobs 2 --metrics > /dev/null
+# Each run reaches the registry when its System is dropped, so a run
+# that outlived its worker's shard would publish zeros here.
+run grep -Eq '^bulksc_sim_chunks_committed [1-9]' results/fuzz.metrics.prom
+run grep -Eq '^bulksc_sim_fabric_messages [1-9]' results/fuzz.metrics.prom
 
 # Wake audit under fuzz traffic: a debug build ticks every sleeping core
 # anyway and panics if that tick did any work (`System::step`), a check
