@@ -305,7 +305,7 @@ impl System {
     }
 
     /// The most messages ever in flight at once.
-    pub fn fabric_peak_in_flight(&self) -> usize {
+    pub(crate) fn fabric_peak_in_flight(&self) -> usize {
         self.fabric.peak_in_flight()
     }
 
