@@ -4,13 +4,13 @@
 //! (`fig9`, `fig10`, `fig11`, `table3`, `table4`, `ablations`): it runs
 //! the experiment's app×config matrix on the [`crate::pool`] worker pool
 //! and returns the rendered text plus the populated
-//! [`RunLog`](crate::artifact::RunLog) artifact. The binaries are thin
+//! [`RunLog`] artifact. The binaries are thin
 //! argument-parsing wrappers; the golden-figure and parallel-determinism
 //! tests call these functions directly.
 //!
 //! Determinism: one pool job per application row. Every job is a pure
 //! function of `(app, budget)` — it builds its own `System` per run, with
-//! the workspace-wide pinned [`SEED`](crate::SEED) — and the table/artifact
+//! the workspace-wide pinned [`SEED`] — and the table/artifact
 //! assembly below walks the results in catalog order. The returned text
 //! and the artifact JSON are therefore byte-identical at any job count;
 //! only the interleaving of per-app progress lines on *stderr* varies.

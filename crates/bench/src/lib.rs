@@ -133,7 +133,7 @@ pub mod timing {
 pub mod artifact {
     //! Machine-readable run artifacts: every `src/bin/` binary accepts
     //! `--json` and then writes `results/<name>.json` with the full
-    //! [`SimReport`](bulksc::SimReport) of every run it performed.
+    //! [`SimReport`] of every run it performed.
 
     use bulksc::SimReport;
     use bulksc_trace::Json;

@@ -1,6 +1,6 @@
 //! Streaming, windowed SC certification in bounded memory.
 //!
-//! The batch oracle in [`crate::order`] materializes every access and
+//! The batch oracle in `crate::order` materializes every access and
 //! the whole Shasha–Snir constraint graph before sorting — fine for a
 //! million accesses, hopeless for the 100M-access traces a scaled-up
 //! run emits. This module certifies the same po ∪ rf ∪ co ∪ fr union

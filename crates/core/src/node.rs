@@ -30,10 +30,13 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
-use bulksc_cpu::{CoreConfig, InstrWindow, Slot, SlotId, SlotState, ValueStore, Wake};
+use bulksc_cpu::{
+    CoreConfig, InstrWindow, MissStats, MissTable, Slot, SlotId, SlotState, ValueStore, Wake,
+    WindowForward,
+};
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
 use bulksc_net::{ChunkTag, Cycle, Envelope, Fabric, Message, NodeId};
-use bulksc_sig::{Addr, LineAddr, TrackedSig};
+use bulksc_sig::{Addr, LineAddr, LineData, TrackedSig};
 use bulksc_stats::{CycleLoss, Histogram, RunningMean};
 use bulksc_trace::{ConflictAttr, Event, SquashCause, TraceHandle};
 use bulksc_workloads::{AddressMap, Instr, ThreadProgram};
@@ -82,10 +85,6 @@ pub struct BulkStats {
     pub extra_cache_invs: u64,
     /// L1 hits.
     pub l1_hits: u64,
-    /// L1 misses.
-    pub l1_misses: u64,
-    /// Nacks received on demand reads.
-    pub nacks: u64,
     /// Pre-arbitration episodes entered.
     pub prearbs: u64,
     /// I/O operations serialized.
@@ -101,33 +100,11 @@ pub struct BulkStats {
     /// Commit-visibility latency: grant received to CommitComplete
     /// received (the directory round trip as seen by the core).
     pub lat_commit_visible: Histogram,
-    /// L1 miss latency: request sent to fill received.
-    pub lat_miss: Histogram,
     /// Where this core's cycles went: each interval between lifecycle
     /// events is charged to the event that ended it (commit grant, denial,
     /// squash by cause). The end-of-run remainder is added as "tail" by
     /// `SimReport::collect`, making the total exactly the run's cycles.
     pub loss: CycleLoss,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum WindowForward {
-    /// No older in-window store to this word.
-    None,
-    /// Forward this value.
-    Value(u64),
-    /// An older RMW has not performed yet; the value is unknown.
-    Unknown,
-}
-
-#[derive(Debug)]
-struct MissEntry {
-    sent: bool,
-    /// Cycle the request actually went out (for miss-latency accounting).
-    sent_at: Cycle,
-    retry_at: Cycle,
-    waiting_loads: Vec<SlotId>,
-    invalidated: bool,
 }
 
 /// True if `line` is speculatively written by any of the active `chunks`
@@ -163,10 +140,8 @@ pub struct BulkNode {
     stash: Option<Instr>,
 
     l1: SetAssocCache,
-    misses: HashMap<LineAddr, MissEntry>,
+    misses: MissTable,
     completions: BinaryHeap<Reverse<(Cycle, SlotId)>>,
-    pending_fetches: HashMap<LineAddr, (NodeId, bool)>,
-    deferred_fetches: Vec<(Cycle, LineAddr, NodeId, bool)>,
 
     /// Active chunks, oldest first; the back one may be open.
     chunks: VecDeque<Chunk>,
@@ -233,10 +208,8 @@ impl BulkNode {
             feed: None,
             stash: None,
             l1: SetAssocCache::new(l1),
-            misses: HashMap::new(),
+            misses: MissTable::new(&cfg),
             completions: BinaryHeap::new(),
-            pending_fetches: HashMap::new(),
-            deferred_fetches: Vec::new(),
             chunks: VecDeque::new(),
             next_seq: 0,
             fetched_into_chunk: 0,
@@ -270,6 +243,11 @@ impl BulkNode {
     /// Event counters.
     pub fn stats(&self) -> &BulkStats {
         &self.stats
+    }
+
+    /// L1 miss counters.
+    pub fn miss_stats(&self) -> &MissStats {
+        self.misses.stats()
     }
 
     /// The thread program (for observations after a run).
@@ -373,7 +351,9 @@ impl BulkNode {
     pub fn tick(&mut self, now: Cycle, fab: &mut Fabric, values: &mut ValueStore) -> Cycle {
         let _prof = bulksc_prof::scope(bulksc_prof::Phase::Execute);
         let mut wake = Wake::new(now);
-        self.answer_deferred_fetches(now, fab, &mut wake);
+        for (line, src, for_excl) in self.misses.due_fetches(&mut wake) {
+            self.surrender_line(now, line, src, for_excl, fab);
+        }
         if self.finished() {
             return wake.at();
         }
@@ -381,7 +361,15 @@ impl BulkNode {
         self.maybe_request_commit(now, fab, values, &mut wake);
         self.retire(now, values, fab, &mut wake);
         self.issue(now, &mut wake);
-        self.send_pending_misses(now, fab, &mut wake);
+        // §4.3: every demand miss is a read request, even for writes.
+        for (line, _) in self.misses.send(now, &mut wake) {
+            fab.send(
+                now,
+                self.id(),
+                self.dir_node(line),
+                Message::ReadShared { line },
+            );
+        }
         self.fetch(now, &mut wake);
         self.check_finished(now, &mut wake);
         wake.at()
@@ -394,22 +382,31 @@ impl BulkNode {
             }
             wake.progress();
             self.completions.pop();
-            self.complete_load_slot(now, slot, values);
+            self.complete_load_slot(now, slot, values, None);
         }
     }
 
     /// The value a load must observe: the youngest speculative store of
-    /// this core's active chunks, else committed memory.
-    fn resolved_value(&self, addr: Addr, values: &ValueStore) -> u64 {
+    /// this core's active chunks, else `data` (the snapshot a fill
+    /// carried), else committed memory.
+    fn resolved_value(&self, addr: Addr, values: &ValueStore, data: Option<&LineData>) -> u64 {
         for c in self.chunks.iter().rev() {
             if let Some(v) = c.forward(addr) {
                 return v;
             }
         }
-        values.read(addr)
+        data.map_or_else(|| values.read(addr), |d| d[addr.line_offset() as usize])
     }
 
-    fn complete_load_slot(&mut self, now: Cycle, slot: SlotId, values: &ValueStore) {
+    /// Complete a load slot. `data` is the snapshot its fill carried, if
+    /// a fill woke it.
+    fn complete_load_slot(
+        &mut self,
+        now: Cycle,
+        slot: SlotId,
+        values: &ValueStore,
+        data: Option<&LineData>,
+    ) {
         let Some(s) = self.window.get_mut(slot) else {
             return;
         };
@@ -422,41 +419,21 @@ impl BulkNode {
         };
         // Forward from older in-window stores first (they have not
         // reached the chunk store buffer yet), then from the chunk
-        // buffers, then committed memory. An older unperformed RMW means
-        // the value is not known yet: retry next cycle.
-        match self.window_forward(slot, addr) {
-            WindowForward::Value(v) => {
-                let s = self.slot_mut(now, slot, "load completed by store forwarding");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
+        // buffers, then the fill's snapshot or committed memory. An older
+        // unperformed RMW means the value is not known yet: retry next
+        // cycle.
+        let v = match self.window.forward(slot, addr) {
+            WindowForward::Value(v) => v,
             WindowForward::Unknown => {
                 // Re-examine next cycle; the RMW performs at the head.
                 self.completions.push(Reverse((now + 1, slot)));
+                return;
             }
-            WindowForward::None => {
-                let v = self.resolved_value(addr, values);
-                let s = self.slot_mut(now, slot, "load completed from memory");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-        }
-    }
-
-    /// The youngest older same-word store/RMW still in the window.
-    fn window_forward(&self, slot: SlotId, addr: Addr) -> WindowForward {
-        for s in self.window.older_than(slot) {
-            match s.instr {
-                Instr::Store { addr: a, value } if a == addr => {
-                    return WindowForward::Value(value);
-                }
-                Instr::Rmw { addr: a, .. } if a == addr => {
-                    return WindowForward::Unknown;
-                }
-                _ => {}
-            }
-        }
-        WindowForward::None
+            WindowForward::None => self.resolved_value(addr, values, data),
+        };
+        let s = self.slot_mut(now, slot, "load completed");
+        s.state = SlotState::Done;
+        s.value = Some(v);
     }
 
     fn retire(&mut self, now: Cycle, values: &mut ValueStore, fab: &mut Fabric, wake: &mut Wake) {
@@ -549,12 +526,12 @@ impl BulkNode {
                     let have_line = self.l1.contains(addr.line())
                         || self.chunks.iter().any(|c| c.forward(addr).is_some());
                     if !have_line {
-                        if self.want_line(now, addr.line(), None) {
+                        if self.misses.want(now, addr.line(), false, None) {
                             wake.progress();
                         }
                         break;
                     }
-                    let old = self.resolved_value(addr, values);
+                    let old = self.resolved_value(addr, values, None);
                     let new = op.apply(old);
                     self.perform_spec_store(now, head_seq, addr, new, fab);
                     if self.trace.enabled() {
@@ -634,7 +611,10 @@ impl BulkNode {
         // Make sure the line is present or on its way (§6: must arrive
         // before the chunk commits).
         if !self.l1.contains(line) {
-            self.want_line(now, line, Some(seq));
+            self.misses.want(now, line, false, None);
+            if let Some(c) = self.chunk_mut(seq) {
+                c.pending_lines.insert(line);
+            }
         }
 
         let use_wpriv = if is_static_priv {
@@ -726,12 +706,7 @@ impl BulkNode {
                         self.completions
                             .push(Reverse((now + self.cfg.l1_latency, id)));
                     } else {
-                        self.want_line(now, addr.line(), None);
-                        if let Some(m) = self.misses.get_mut(&addr.line()) {
-                            if !m.waiting_loads.contains(&id) {
-                                m.waiting_loads.push(id);
-                            }
-                        }
+                        self.misses.want(now, addr.line(), false, Some(id));
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Issued;
@@ -742,7 +717,7 @@ impl BulkNode {
                     // op itself performs at the head.
                     self.record_read(seq, addr);
                     if !self.l1.contains(addr.line()) {
-                        self.want_line(now, addr.line(), None);
+                        self.misses.want(now, addr.line(), false, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -751,7 +726,7 @@ impl BulkNode {
                 Instr::Store { addr, .. } => {
                     // Prefetch the line; the store performs at the head.
                     if !self.l1.contains(addr.line()) {
-                        self.want_line(now, addr.line(), None);
+                        self.misses.want(now, addr.line(), false, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done;
@@ -823,69 +798,6 @@ impl BulkNode {
         }
         if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
             c.r.insert(addr.line());
-        }
-    }
-
-    /// Register interest in `line`. `pending_for` marks the chunk that
-    /// cannot commit until the line arrives (speculative stores). Returns
-    /// true if this opened a miss.
-    fn want_line(&mut self, now: Cycle, line: LineAddr, pending_for: Option<u64>) -> bool {
-        let mut opened = false;
-        self.misses.entry(line).or_insert_with(|| {
-            opened = true;
-            MissEntry {
-                sent: false,
-                sent_at: 0,
-                retry_at: now,
-                waiting_loads: Vec::new(),
-                invalidated: false,
-            }
-        });
-        if let Some(seq) = pending_for {
-            if let Some(c) = self.chunks.iter_mut().find(|c| c.tag.seq == seq) {
-                c.pending_lines.insert(line);
-            }
-        }
-        opened
-    }
-
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
-        let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
-        let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
-        if budget == 0 {
-            return; // only a fill or a nack (a message) frees an MSHR
-        }
-        let mut lines: Vec<LineAddr> = self
-            .misses
-            .iter()
-            .filter(|(_, m)| !m.sent && wake.due(m.retry_at))
-            .map(|(&l, _)| l)
-            .collect();
-        lines.sort_unstable();
-        for line in lines {
-            if budget == 0 {
-                break;
-            }
-            let dst = self.dir_node(line);
-            let core = self.core;
-            let m = self.misses.get_mut(&line).unwrap_or_else(|| {
-                panic!(
-                    "core {core}: cycle {now}: miss entry for {line} vanished \
-                     while draining the MSHR send queue"
-                )
-            });
-            m.sent = true;
-            m.sent_at = now;
-            self.stats.l1_misses += 1;
-            // §4.3: always a read request, even for writes.
-            fab.send(
-                now,
-                NodeId::Core(self.core),
-                dst,
-                Message::ReadShared { line },
-            );
-            wake.progress();
-            budget -= 1;
         }
     }
 
@@ -1316,21 +1228,14 @@ impl BulkNode {
                 line,
                 exclusive,
                 data,
-            } => self.fill(now, line, exclusive, data, fab),
+            } => self.fill(now, line, exclusive, data, fab, values),
             Message::Nack { line } => {
-                self.stats.nacks += 1;
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.sent = false;
-                    m.retry_at = now + self.cfg.nack_retry;
-                }
-                if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
+                if let Some((src, for_excl)) = self.misses.nack(now, line) {
                     self.surrender_line(now, line, src, for_excl, fab);
                 }
             }
             Message::Fetch { line, for_excl } => {
-                if self.misses.get(&line).map(|m| m.sent).unwrap_or(false) {
-                    self.pending_fetches.insert(line, (env.src, for_excl));
-                } else {
+                if !self.misses.defer_fetch(line, env.src, for_excl) {
                     self.surrender_line(now, line, env.src, for_excl, fab);
                 }
             }
@@ -1434,11 +1339,7 @@ impl BulkNode {
         }
         // 3. Stale-fill protection: in-flight fills for lines the commit
         //    wrote must not install.
-        for (line, m) in self.misses.iter_mut() {
-            if m.sent && w.contains(*line) {
-                m.invalidated = true;
-            }
-        }
+        self.misses.invalidate_in_flight(|line| w.contains(line));
         if needs_ack {
             fab.send(now, self.id(), src, Message::WSigInvAck { chunk });
         }
@@ -1534,9 +1435,7 @@ impl BulkNode {
                 }
             }
         }
-        if let Some(m) = self.misses.get_mut(&line) {
-            m.invalidated = true;
-        }
+        self.misses.mark_invalidated(line);
         fab.send(
             now,
             self.id(),
@@ -1607,50 +1506,23 @@ impl BulkNode {
         );
     }
 
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
-        let mut due = Vec::new();
-        self.deferred_fetches.retain(|&(t, line, src, for_excl)| {
-            let answer = wake.due(t);
-            if answer {
-                due.push((line, src, for_excl));
-            }
-            !answer
-        });
-        for (line, src, for_excl) in due {
-            wake.progress();
-            self.surrender_line(now, line, src, for_excl, fab);
-        }
-    }
-
     fn fill(
         &mut self,
         now: Cycle,
         line: LineAddr,
         exclusive: bool,
-        data: bulksc_sig::LineData,
+        data: LineData,
         fab: &mut Fabric,
+        values: &ValueStore,
     ) {
-        if self
-            .misses
-            .get(&line)
-            .map(|m| m.invalidated)
-            .unwrap_or(false)
-        {
-            // Stale fill: re-request (the chunk that wanted it was either
-            // squashed or will read the fresh copy).
-            if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
+        if let Some(stale) = self.misses.stale_fill(line) {
+            // Stale fill: re-request next cycle (the chunk that wanted it
+            // was either squashed or will read the fresh copy); its loads
+            // keep waiting.
+            if let Some((src, for_excl)) = stale.fetch {
                 self.surrender_line(now, line, src, for_excl, fab);
             }
-            let core = self.core;
-            let m = self.misses.get_mut(&line).unwrap_or_else(|| {
-                panic!(
-                    "core {core}: cycle {now}: miss entry for {line} vanished \
-                     while its stale fill was being re-requested"
-                )
-            });
-            m.sent = false;
-            m.invalidated = false;
-            m.retry_at = now + 1;
+            self.misses.want(now + 1, line, false, stale.waiting_loads);
             return;
         }
         let state = if exclusive {
@@ -1723,42 +1595,8 @@ impl BulkNode {
         for c in self.chunks.iter_mut() {
             c.pending_lines.remove(&line);
         }
-        if let Some(m) = self.misses.remove(&line) {
-            if m.sent {
-                self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-            }
-            for slot in m.waiting_loads {
-                // Values: forwarding first, then the response snapshot.
-                let Some(s) = self.window.get_mut(slot) else {
-                    continue;
-                };
-                if s.state != SlotState::Issued {
-                    continue;
-                }
-                let Instr::Load { addr, .. } = s.instr else {
-                    continue;
-                };
-                let v = match self.window_forward(slot, addr) {
-                    WindowForward::Value(v) => v,
-                    WindowForward::Unknown => {
-                        self.completions.push(Reverse((now + 1, slot)));
-                        continue;
-                    }
-                    WindowForward::None => self
-                        .chunks
-                        .iter()
-                        .rev()
-                        .find_map(|c| c.forward(addr))
-                        .unwrap_or(data[addr.line_offset() as usize]),
-                };
-                let s = self.slot_mut(now, slot, "load woken by a fill");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-        }
-        if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-            self.deferred_fetches
-                .push((now + self.cfg.l1_latency + 1, line, src, for_excl));
+        for slot in self.misses.fill(now, line) {
+            self.complete_load_slot(now, slot, values, Some(&data));
         }
     }
 
@@ -1803,16 +1641,13 @@ impl BulkNode {
     /// One-line diagnostic snapshot.
     pub fn debug_state(&self) -> String {
         format!(
-            "bulk core{} head={:?} win={} chunks={:?} committing={} misses={:?} pending_front={:?} prearb={}/{} done={} finished={:?}",
+            "bulk core{} head={:?} win={} chunks={:?} committing={} {} pending_front={:?} prearb={}/{} done={} finished={:?}",
             self.core,
             self.window.oldest().map(|s| format!("{:?}/{:?}", s.instr, s.state)),
             self.window.len(),
             self.chunks.iter().map(|c| format!("{}:{:?}r{}", c.tag, c.state, c.retired)).collect::<Vec<_>>(),
             self.committing.len(),
-            self.misses
-                .iter()
-                .map(|(l, m)| format!("{l}:sent={},inv={},retry={}", m.sent, m.invalidated, m.retry_at))
-                .collect::<Vec<_>>(),
+            self.misses,
             self.chunks.front().map(|c| c.pending_lines.len()),
             self.prearb_waiting,
             self.prearb_granted,

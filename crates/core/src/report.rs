@@ -186,7 +186,6 @@ impl SimReport {
                 lat_execute.merge(&b.lat_execute);
                 lat_arbitration.merge(&b.lat_arbitration);
                 lat_commit_visible.merge(&b.lat_commit_visible);
-                lat_l1_miss.merge(&b.lat_miss);
                 // Close each core's attribution: whatever follows the last
                 // charged lifecycle event (end-of-run drain, post-finish
                 // idle) is the tail, making the total exactly the run.
@@ -197,8 +196,8 @@ impl SimReport {
             if let Some(b) = n.baseline_stats() {
                 retired += b.retired;
                 squashed += b.squashed_instrs;
-                lat_l1_miss.merge(&b.lat_miss);
             }
+            lat_l1_miss.merge(&n.miss_stats().lat_miss);
         }
 
         let mut lookups = 0u64;

@@ -3,7 +3,7 @@
 //! G-arbiter, and the interconnect — advanced cycle by cycle,
 //! deterministically.
 
-use bulksc_cpu::{BaselineNode, CoreStats, ValueStore};
+use bulksc_cpu::{BaselineNode, CoreStats, MissStats, ValueStore};
 use bulksc_net::{Cycle, Envelope, Fabric, NodeId};
 use bulksc_trace::{Event, IntervalSeries, TraceHandle};
 use bulksc_workloads::{AddressMap, ThreadProgram};
@@ -70,6 +70,14 @@ impl CoreNode {
         match self {
             CoreNode::Baseline(n) => Some(n.stats()),
             CoreNode::Bulk(_) => None,
+        }
+    }
+
+    /// L1 miss counters (either core model).
+    pub fn miss_stats(&self) -> &MissStats {
+        match self {
+            CoreNode::Baseline(n) => n.miss_stats(),
+            CoreNode::Bulk(n) => n.miss_stats(),
         }
     }
 

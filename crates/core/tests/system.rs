@@ -412,3 +412,34 @@ fn fast_forward_matches_stepping_every_cycle() {
         }
     }
 }
+
+#[test]
+fn stall_diagnostics_are_deterministic() {
+    for model in [
+        Model::Baseline(BaselineModel::Rc),
+        Model::Bulk(BulkConfig::bsc_dypvt()),
+    ] {
+        let build = || {
+            let app = by_name("ocean").unwrap();
+            let mut cfg = SystemConfig::cmp8(model.clone());
+            cfg.budget = 4_000;
+            let programs: Vec<Box<dyn ThreadProgram>> = (0..8)
+                .map(|t| Box::new(SyntheticApp::new(app, t, 8, 7)) as Box<dyn ThreadProgram>)
+                .collect();
+            System::new(cfg, programs)
+        };
+        let (mut a, mut b) = (build(), build());
+        // Cycles on which some core listed at least two outstanding misses.
+        let mut multi_miss = 0;
+        for _ in 0..3_000 {
+            a.step();
+            b.step();
+            let state = a.debug_state();
+            assert_eq!(state, b.debug_state(), "{}", model.name());
+            if state.lines().any(|l| l.matches("sent=").count() >= 2) {
+                multi_miss += 1;
+            }
+        }
+        assert!(multi_miss > 0, "{}: never two misses at once", model.name());
+    }
+}

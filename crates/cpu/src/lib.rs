@@ -15,15 +15,18 @@
 //! * SC++, modelled at epoch granularity with checkpoint rollback.
 //!
 //! The BulkSC core itself lives in the `bulksc` crate; it shares this
-//! crate's [`window`], [`ValueStore`], and [`CoreConfig`] building blocks.
+//! crate's [`window`], [`misses`] table, [`ValueStore`], and
+//! [`CoreConfig`] building blocks.
 
 pub mod config;
+pub mod misses;
 pub mod node;
 pub mod wake;
 pub mod window;
 
 pub use bulksc_mem::ValueStore;
 pub use config::CoreConfig;
+pub use misses::{MissStats, MissTable, StaleFill};
 pub use node::{BaselineModel, BaselineNode, CoreStats};
 pub use wake::Wake;
-pub use window::{InstrWindow, Slot, SlotId, SlotState};
+pub use window::{InstrWindow, Slot, SlotId, SlotState, WindowForward};

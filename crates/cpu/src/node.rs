@@ -34,14 +34,14 @@ use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
 
 use bulksc_mem::{CacheConfig, InsertOutcome, LineState, SetAssocCache};
 use bulksc_net::{Cycle, Envelope, Fabric, Message, NodeId};
-use bulksc_sig::{Addr, LineAddr};
-use bulksc_stats::Histogram;
+use bulksc_sig::{Addr, LineAddr, LineData};
 use bulksc_trace::{Event, TraceHandle};
 use bulksc_workloads::{Instr, ThreadProgram};
 
 use crate::config::CoreConfig;
+use crate::misses::{MissStats, MissTable};
 use crate::wake::Wake;
-use crate::window::{InstrWindow, SlotId, SlotState};
+use crate::window::{InstrWindow, SlotId, SlotState, WindowForward};
 use bulksc_mem::ValueStore;
 
 /// Which baseline consistency model this node enforces.
@@ -74,32 +74,8 @@ pub struct CoreStats {
     pub load_reissues: u64,
     /// L1 hits.
     pub l1_hits: u64,
-    /// L1 misses (requests sent to the directory).
-    pub l1_misses: u64,
-    /// Nacks received.
-    pub nacks: u64,
     /// Cycle at which this core finished its program, if it has.
     pub finished_at: Option<Cycle>,
-    /// L1 miss latency: request sent to fill (or upgrade ack) received.
-    pub lat_miss: Histogram,
-}
-
-#[derive(Debug)]
-struct MissEntry {
-    /// True if exclusivity (ownership) is required.
-    excl: bool,
-    /// Request currently in flight.
-    sent: bool,
-    /// Cycle the request went out (for miss-latency accounting).
-    sent_at: Cycle,
-    /// Retry barrier after a Nack.
-    retry_at: Cycle,
-    /// Loads waiting for this line.
-    waiting_loads: Vec<SlotId>,
-    /// An invalidation raced past the in-flight fill: the response data is
-    /// already stale by coherence order. The fill must not install the
-    /// line, and SC/SC++ must replay the waiting loads.
-    invalidated: bool,
 }
 
 #[derive(Clone, Debug)]
@@ -149,16 +125,10 @@ pub struct BaselineNode {
     slot_epochs: HashMap<SlotId, u64>,
 
     l1: SetAssocCache,
-    misses: HashMap<LineAddr, MissEntry>,
+    misses: MissTable,
     completions: BinaryHeap<Reverse<(Cycle, SlotId)>>,
 
     store_buffer: VecDeque<SbEntry>,
-
-    /// Fetch requests that arrived while our own fill for the line was in
-    /// flight: answered after the fill lands (plus a grace cycle so the
-    /// head store can perform during its ownership tenure).
-    pending_fetches: HashMap<LineAddr, (NodeId, bool)>,
-    deferred_fetches: Vec<(Cycle, LineAddr, NodeId, bool)>,
 
     /// SC: cycle the last memory operation retired (performs serialize).
     last_mem_retire: Cycle,
@@ -203,11 +173,9 @@ impl BaselineNode {
             stash: None,
             slot_epochs: HashMap::new(),
             l1: SetAssocCache::new(l1),
-            misses: HashMap::new(),
+            misses: MissTable::new(&cfg),
             completions: BinaryHeap::new(),
             store_buffer: VecDeque::new(),
-            pending_fetches: HashMap::new(),
-            deferred_fetches: Vec::new(),
             last_mem_retire: 0,
             epochs: VecDeque::new(),
             current_epoch: 0,
@@ -256,6 +224,11 @@ impl BaselineNode {
         &self.stats
     }
 
+    /// L1 miss counters.
+    pub fn miss_stats(&self) -> &MissStats {
+        self.misses.stats()
+    }
+
     /// The thread program (for reading observations after a run).
     pub fn program(&self) -> &dyn ThreadProgram {
         self.program.as_ref()
@@ -291,7 +264,9 @@ impl BaselineNode {
         let mut wake = Wake::new(now);
         // Protocol obligations outlive the program: a finished core must
         // still answer fetches deferred behind its last fills.
-        self.answer_deferred_fetches(now, fab, &mut wake);
+        for (line, src, for_excl) in self.misses.due_fetches(&mut wake) {
+            self.surrender_line(now, line, src, for_excl, fab);
+        }
         if self.finished() {
             return wake.at();
         }
@@ -299,7 +274,7 @@ impl BaselineNode {
         self.retire(now, values, &mut wake);
         self.drain_store_buffer(now, values, &mut wake);
         self.issue(now, &mut wake);
-        self.send_pending_misses(now, fab, &mut wake);
+        self.send_misses(now, fab, &mut wake);
         self.fetch(&mut wake);
         self.check_finished(now, &mut wake);
         wake.at()
@@ -312,13 +287,22 @@ impl BaselineNode {
             }
             wake.progress();
             self.completions.pop();
-            self.complete_load_slot(now, slot, values);
+            self.complete_load_slot(now, slot, values, None);
         }
     }
 
     /// Transition a load slot to Done, capturing its value with
-    /// store-to-load forwarding from older in-flight stores.
-    fn complete_load_slot(&mut self, now: Cycle, slot: SlotId, values: &ValueStore) {
+    /// store-to-load forwarding from older in-flight stores. Without a
+    /// forwarding store the load reads `data`, the snapshot its data
+    /// response carried (the value the directory served, not the value at
+    /// arrival time), or committed memory if there is none.
+    fn complete_load_slot(
+        &mut self,
+        now: Cycle,
+        slot: SlotId,
+        values: &ValueStore,
+        data: Option<&LineData>,
+    ) {
         let Some(s) = self.window.get_mut(slot) else {
             return;
         };
@@ -329,47 +313,36 @@ impl BaselineNode {
             s.state = SlotState::Done;
             return;
         };
-        match self.forwarded_value(slot, addr, values) {
-            Some(v) => {
-                let s = self.window.get_mut(slot).expect("slot exists");
-                s.state = SlotState::Done;
-                s.value = Some(v);
-            }
-            None => {
+        let v = match self.forwarded_value(slot, addr) {
+            WindowForward::Value(v) => v,
+            WindowForward::Unknown => {
                 // An older RMW to the same word has not performed yet:
                 // its result is unknown, so retry shortly.
                 self.completions.push(Reverse((now + 1, slot)));
+                return;
             }
-        }
+            WindowForward::None => {
+                data.map_or_else(|| values.read(addr), |d| d[addr.line_offset() as usize])
+            }
+        };
+        let s = self.window.get_mut(slot).expect("slot exists");
+        s.state = SlotState::Done;
+        s.value = Some(v);
     }
 
-    /// The value a load at `slot` must observe: the youngest older same-
-    /// word store in the window, else the youngest store-buffer entry,
-    /// else committed memory. `None` if it would forward from an
-    /// unperformed RMW (value not yet known).
-    fn forwarded_value(&self, slot: SlotId, addr: Addr, values: &ValueStore) -> Option<u64> {
-        let mut forwarded: Option<Option<u64>> = None;
-        for s in self.window.iter() {
-            if s.id() >= slot {
-                break;
-            }
-            match s.instr {
-                Instr::Store { addr: a, value } if a == addr => {
-                    forwarded = Some(Some(value));
-                }
-                Instr::Rmw { addr: a, .. } if a == addr => {
-                    forwarded = Some(None); // unknown until it performs
-                }
-                _ => {}
-            }
+    /// Store-to-load forwarding for a load at `slot`: the youngest older
+    /// same-word store in the window, else the youngest store-buffer
+    /// entry. [`WindowForward::None`] means the load reads memory.
+    fn forwarded_value(&self, slot: SlotId, addr: Addr) -> WindowForward {
+        match self.window.forward(slot, addr) {
+            WindowForward::None => self
+                .store_buffer
+                .iter()
+                .rev()
+                .find(|e| e.addr == addr)
+                .map_or(WindowForward::None, |e| WindowForward::Value(e.value)),
+            fwd => fwd,
         }
-        if let Some(v) = forwarded {
-            return v;
-        }
-        if let Some(e) = self.store_buffer.iter().rev().find(|e| e.addr == addr) {
-            return Some(e.value);
-        }
-        Some(values.read(addr))
     }
 
     fn retire(&mut self, now: Cycle, values: &mut ValueStore, wake: &mut Wake) {
@@ -475,7 +448,7 @@ impl BaselineNode {
                         break;
                     }
                     if !self.line_owned(addr.line()) {
-                        if self.want_line(now, addr.line(), true, None) {
+                        if self.misses.want(now, addr.line(), true, None) {
                             wake.progress();
                         }
                         break;
@@ -610,7 +583,7 @@ impl BaselineNode {
             self.l1.set_state(addr.line(), LineState::Dirty);
             return true;
         }
-        if self.want_line(now, addr.line(), true, None) {
+        if self.misses.want(now, addr.line(), true, None) {
             wake.progress();
         }
         false
@@ -643,7 +616,7 @@ impl BaselineNode {
                 self.store_buffer.pop_front();
                 wake.progress();
             } else {
-                if self.want_line(now, head.addr.line(), true, None) {
+                if self.misses.want(now, head.addr.line(), true, None) {
                     wake.progress();
                 }
                 break;
@@ -658,7 +631,7 @@ impl BaselineNode {
             .map(|e| e.addr.line())
             .collect();
         for line in prefetch {
-            if !self.line_owned(line) && self.want_line(now, line, true, None) {
+            if !self.line_owned(line) && self.misses.want(now, line, true, None) {
                 wake.progress();
             }
         }
@@ -712,7 +685,7 @@ impl BaselineNode {
                             s.state = SlotState::Issued;
                         }
                     } else {
-                        self.want_line(now, addr.line(), false, Some(id));
+                        self.misses.want(now, addr.line(), false, Some(id));
                         if let Some(s) = self.window.get_mut(id) {
                             s.state = SlotState::Issued;
                         }
@@ -721,7 +694,7 @@ impl BaselineNode {
                 Instr::Store { addr, .. } | Instr::Rmw { addr, .. } => {
                     // Exclusive prefetch; the op itself performs at retire.
                     if !self.line_owned(addr.line()) {
-                        self.want_line(now, addr.line(), true, None);
+                        self.misses.want(now, addr.line(), true, None);
                     }
                     if let Some(s) = self.window.get_mut(id) {
                         s.state = SlotState::Done; // nothing more to do pre-retire
@@ -732,73 +705,19 @@ impl BaselineNode {
         }
     }
 
-    /// Register interest in `line`; `excl` requires ownership; `waiter` is
-    /// a load slot to complete on arrival. Returns true if this opened a
-    /// miss or upgraded one to exclusive.
-    fn want_line(
-        &mut self,
-        now: Cycle,
-        line: LineAddr,
-        excl: bool,
-        waiter: Option<SlotId>,
-    ) -> bool {
-        let mut changed = false;
-        let entry = self.misses.entry(line).or_insert_with(|| {
-            changed = true;
-            MissEntry {
-                excl,
-                sent: false,
-                sent_at: 0,
-                retry_at: now,
-                waiting_loads: Vec::new(),
-                invalidated: false,
-            }
-        });
-        changed |= excl && !entry.excl;
-        entry.excl |= excl;
-        if let Some(w) = waiter {
-            if !entry.waiting_loads.contains(&w) {
-                entry.waiting_loads.push(w);
-            }
-        }
-        changed
-    }
-
-    fn send_pending_misses(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
-        let in_flight = self.misses.values().filter(|m| m.sent).count() as u32;
-        let mut budget = self.cfg.mshrs.saturating_sub(in_flight);
-        if budget == 0 {
-            return; // only a fill or a nack (a message) frees an MSHR
-        }
-        // Deterministic order: by line address.
-        let mut lines: Vec<LineAddr> = self
-            .misses
-            .iter()
-            .filter(|(_, m)| !m.sent && wake.due(m.retry_at))
-            .map(|(&l, _)| l)
-            .collect();
-        lines.sort_unstable();
-        for line in lines {
-            if budget == 0 {
-                break;
-            }
-            let src = self.id();
-            let m = self.misses.get_mut(&line).expect("listed above");
-            let msg = if m.excl {
-                if self.l1.state(line) == Some(LineState::Shared) {
-                    Message::Upgrade { line }
-                } else {
-                    Message::ReadExcl { line }
-                }
-            } else {
+    /// Send the requests the miss table has room for: ownership as an
+    /// `Upgrade` of a shared copy or a `ReadExcl`, else a `ReadShared`,
+    /// all to the single directory.
+    fn send_misses(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
+        for (line, excl) in self.misses.send(now, wake) {
+            let msg = if !excl {
                 Message::ReadShared { line }
+            } else if self.l1.state(line) == Some(LineState::Shared) {
+                Message::Upgrade { line }
+            } else {
+                Message::ReadExcl { line }
             };
-            m.sent = true;
-            m.sent_at = now;
-            self.stats.l1_misses += 1;
-            fab.send(now, src, NodeId::Dir(0), msg);
-            wake.progress();
-            budget -= 1;
+            fab.send(now, self.id(), NodeId::Dir(0), msg);
         }
     }
 
@@ -879,15 +798,11 @@ impl BaselineNode {
             .oldest()
             .map(|s| format!("{:?}/{:?}", s.instr, s.state));
         format!(
-            "core{} head={head:?} win={} sb={} misses={:?} pend_fetch={:?} awaiting={:?} done={} finished={:?}",
+            "core{} head={head:?} win={} sb={} {} awaiting={:?} done={} finished={:?}",
             self.core,
             self.window.len(),
             self.store_buffer.len(),
-            self.misses
-                .iter()
-                .map(|(l, m)| format!("{l}:sent={},inv={}", m.sent, m.invalidated))
-                .collect::<Vec<_>>(),
-            self.pending_fetches.keys().collect::<Vec<_>>(),
+            self.misses,
             self.awaiting,
             self.program_done,
             self.stats.finished_at,
@@ -913,57 +828,28 @@ impl BaselineNode {
             } => self.fill(now, line, exclusive, data, fab, values),
             Message::UpgradeAck { line } => {
                 self.l1.set_state(line, LineState::Exclusive);
-                if let Some(m) = self.misses.remove(&line) {
-                    if m.sent {
-                        self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-                    }
-                    // Loads merged into the upgraded miss read the (still
-                    // valid, now exclusive) local copy.
-                    for slot in m.waiting_loads {
-                        self.complete_load_slot(now, slot, values);
-                    }
+                // Loads merged into the upgraded miss read the (still
+                // valid, now exclusive) local copy.
+                for slot in self.misses.fill(now, line) {
+                    self.complete_load_slot(now, slot, values, None);
                 }
             }
-            Message::Inv { line } => {
+            Message::Inv { line } | Message::DisplaceSig { line, .. } => {
                 let state = self.l1.invalidate(line);
                 let dirty = state == Some(LineState::Dirty);
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.invalidated = true;
-                }
+                self.misses.mark_invalidated(line);
                 self.on_lost_line(line);
                 fab.send(now, self.id(), env.src, Message::InvAck { line, dirty });
             }
             Message::Fetch { line, for_excl } => {
-                if self.misses.get(&line).map(|m| m.sent).unwrap_or(false) {
-                    // Our own fill for this line is still in flight (the
-                    // directory made us owner before our data arrived):
-                    // answer once the fill lands.
-                    self.pending_fetches.insert(line, (env.src, for_excl));
-                } else {
+                if !self.misses.defer_fetch(line, env.src, for_excl) {
                     self.surrender_line(now, line, env.src, for_excl, fab);
                 }
             }
             Message::Nack { line } => {
-                self.stats.nacks += 1;
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.sent = false;
-                    m.retry_at = now + self.cfg.nack_retry;
-                }
-                // Our request was denied, so no fill is coming: a fetch
-                // deferred behind it must be answered now (we are a false
-                // owner — §4.3.1's graceful case).
-                if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
+                if let Some((src, for_excl)) = self.misses.nack(now, line) {
                     self.surrender_line(now, line, src, for_excl, fab);
                 }
-            }
-            Message::DisplaceSig { line, .. } => {
-                let state = self.l1.invalidate(line);
-                let dirty = state == Some(LineState::Dirty);
-                if let Some(m) = self.misses.get_mut(&line) {
-                    m.invalidated = true;
-                }
-                self.on_lost_line(line);
-                fab.send(now, self.id(), env.src, Message::InvAck { line, dirty });
             }
             other => panic!("baseline core received unexpected message {other:?}"),
         }
@@ -975,7 +861,7 @@ impl BaselineNode {
         now: Cycle,
         line: LineAddr,
         exclusive: bool,
-        data: bulksc_sig::LineData,
+        data: LineData,
         fab: &mut Fabric,
         values: &mut ValueStore,
     ) {
@@ -983,20 +869,14 @@ impl BaselineNode {
         // flight is stale by coherence order: do not install it, and
         // replay (SC/SC++) or complete (RC: the load performed at the
         // directory's serve point, which precedes the invalidation).
-        if self
-            .misses
-            .get(&line)
-            .map(|m| m.invalidated)
-            .unwrap_or(false)
-        {
-            if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
+        if let Some(stale) = self.misses.stale_fill(line) {
+            if let Some((src, for_excl)) = stale.fetch {
                 self.surrender_line(now, line, src, for_excl, fab);
             }
-            let m = self.misses.remove(&line).expect("checked above");
-            for slot in m.waiting_loads {
+            for slot in stale.waiting_loads {
                 match self.model {
                     BaselineModel::Rc => {
-                        self.complete_load_slot_with_line(now, slot, values, line, &data);
+                        self.complete_load_slot(now, slot, values, Some(&data));
                     }
                     BaselineModel::Sc | BaselineModel::Scpp | BaselineModel::Tso => {
                         if let Some(s) = self.window.get_mut(slot) {
@@ -1015,7 +895,7 @@ impl BaselineNode {
             // wake-up path — without a fresh request the node can sleep
             // forever on a Done head it cannot perform. Re-request; the
             // directory serializes the retry.
-            let still_needed = m.excl
+            let still_needed = stale.excl
                 && (self.window.iter().any(|s| {
                     matches!(
                         s.instr,
@@ -1024,7 +904,7 @@ impl BaselineNode {
                     )
                 }) || self.store_buffer.iter().any(|e| e.addr.line() == line));
             if still_needed {
-                self.want_line(now, line, true, None);
+                self.misses.want(now, line, true, None);
             }
             return;
         }
@@ -1056,101 +936,8 @@ impl BaselineNode {
             }
             _ => {}
         }
-        if let Some(m) = self.misses.remove(&line) {
-            if m.sent {
-                self.stats.lat_miss.record(now.saturating_sub(m.sent_at));
-            }
-            for slot in m.waiting_loads {
-                self.complete_load_slot_with_line(now, slot, values, line, &data);
-            }
-        }
-        if let Some((src, for_excl)) = self.pending_fetches.remove(&line) {
-            // Grace period: let the head store perform during its tenure.
-            self.deferred_fetches
-                .push((now + self.cfg.l1_latency + 1, line, src, for_excl));
-        }
-    }
-
-    /// Like [`Self::complete_load_slot`], but loads to `line` observe the
-    /// value snapshot `data` carried by the data response (the value the
-    /// directory served, not the value at arrival time).
-    fn complete_load_slot_with_line(
-        &mut self,
-        now: Cycle,
-        slot: SlotId,
-        values: &ValueStore,
-        line: LineAddr,
-        data: &bulksc_sig::LineData,
-    ) {
-        let Some(s) = self.window.get_mut(slot) else {
-            return;
-        };
-        if s.state != SlotState::Issued {
-            return;
-        }
-        let Instr::Load { addr, .. } = s.instr else {
-            s.state = SlotState::Done;
-            return;
-        };
-        match self.forwarded_value(slot, addr, values) {
-            Some(v) => {
-                let snapshot = if addr.line() == line {
-                    // Only forwardings from our own in-flight stores may
-                    // override the response payload.
-                    match self.own_store_forward(slot, addr) {
-                        Some(fwd) => fwd,
-                        None => data[addr.line_offset() as usize],
-                    }
-                } else {
-                    v
-                };
-                let s = self.window.get_mut(slot).expect("slot exists");
-                s.state = SlotState::Done;
-                s.value = Some(snapshot);
-            }
-            None => {
-                self.completions.push(Reverse((now + 1, slot)));
-            }
-        }
-    }
-
-    /// The youngest older same-word store (window or store buffer) a load
-    /// must forward from, if any. `None` means read from memory/response.
-    fn own_store_forward(&self, slot: SlotId, addr: Addr) -> Option<u64> {
-        let mut fwd = None;
-        for s in self.window.iter() {
-            if s.id() >= slot {
-                break;
-            }
-            if let Instr::Store { addr: a, value } = s.instr {
-                if a == addr {
-                    fwd = Some(value);
-                }
-            }
-        }
-        if fwd.is_some() {
-            return fwd;
-        }
-        self.store_buffer
-            .iter()
-            .rev()
-            .find(|e| e.addr == addr)
-            .map(|e| e.value)
-    }
-
-    /// Answer fetches deferred behind our own in-flight fills.
-    fn answer_deferred_fetches(&mut self, now: Cycle, fab: &mut Fabric, wake: &mut Wake) {
-        let mut due = Vec::new();
-        self.deferred_fetches.retain(|&(t, line, src, for_excl)| {
-            let answer = wake.due(t);
-            if answer {
-                due.push((line, src, for_excl));
-            }
-            !answer
-        });
-        for (line, src, for_excl) in due {
-            wake.progress();
-            self.surrender_line(now, line, src, for_excl, fab);
+        for slot in self.misses.fill(now, line) {
+            self.complete_load_slot(now, slot, values, Some(&data));
         }
     }
 
@@ -1260,9 +1047,7 @@ impl BaselineNode {
         self.store_buffer.retain(|e| e.epoch < eid);
         // Clear waiting-load registrations (slots are gone); keep the
         // line interests so in-flight data still fills the cache.
-        for m in self.misses.values_mut() {
-            m.waiting_loads.clear();
-        }
+        self.misses.clear_waiters();
         self.completions.clear();
         self.awaiting = None;
         self.slot_epochs.clear();

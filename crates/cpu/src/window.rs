@@ -13,6 +13,7 @@
 
 use std::collections::VecDeque;
 
+use bulksc_sig::Addr;
 use bulksc_workloads::Instr;
 
 /// Identifies a slot for the lifetime of the window (monotonic, never
@@ -69,6 +70,18 @@ impl Slot {
     pub fn tag(&self) -> u64 {
         self.tag
     }
+}
+
+/// What the window forwards to a load: the result of
+/// [`InstrWindow::forward`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum WindowForward {
+    /// No older in-window store to this word.
+    None,
+    /// Forward this value.
+    Value(u64),
+    /// An older RMW has not performed yet; the value is unknown.
+    Unknown,
 }
 
 /// What one slot adds to the issue depth: a compute batch counts what it
@@ -242,6 +255,20 @@ impl InstrWindow {
         self.slots.range(..self.position(id)).rev()
     }
 
+    /// Store-to-load forwarding for a load of `addr` at `slot`: the
+    /// youngest older same-word Store or RMW decides, and the search stops
+    /// there.
+    pub fn forward(&self, slot: SlotId, addr: Addr) -> WindowForward {
+        for s in self.older_than(slot) {
+            match s.instr {
+                Instr::Store { addr: a, value } if a == addr => return WindowForward::Value(value),
+                Instr::Rmw { addr: a, .. } if a == addr => return WindowForward::Unknown,
+                _ => {}
+            }
+        }
+        WindowForward::None
+    }
+
     /// Iterate slots mutably, oldest-first.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Slot> {
         self.slots.iter_mut()
@@ -288,7 +315,6 @@ impl InstrWindow {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bulksc_sig::Addr;
 
     fn load(a: u64) -> Instr {
         Instr::Load {
@@ -477,6 +503,32 @@ mod tests {
         w.pop_oldest();
         let older: Vec<SlotId> = w.older_than(c).map(|s| s.id).collect();
         assert_eq!(older, vec![b]);
+    }
+
+    #[test]
+    fn forward_takes_the_youngest_older_write() {
+        let store = |v| Instr::Store {
+            addr: Addr(8),
+            value: v,
+        };
+        let rmw = Instr::Rmw {
+            addr: Addr(8),
+            op: bulksc_workloads::RmwOp::FetchAdd(1),
+        };
+        let mut w = InstrWindow::new(20);
+        w.push(store(1)).unwrap();
+        w.push(store(2)).unwrap();
+        w.push(Instr::Store {
+            addr: Addr(9),
+            value: 3,
+        })
+        .unwrap();
+        let a = w.push(load(8)).unwrap();
+        w.push(rmw).unwrap(); // younger than the load: ignored
+        let b = w.push(load(8)).unwrap();
+        assert_eq!(w.forward(a, Addr(8)), WindowForward::Value(2));
+        assert_eq!(w.forward(b, Addr(8)), WindowForward::Unknown);
+        assert_eq!(w.forward(a, Addr(10)), WindowForward::None);
     }
 
     #[test]

@@ -365,8 +365,8 @@ fn l1_stats_accumulate() {
     ]);
     let mut m = Mini::new(BaselineModel::Rc, vec![p]);
     assert!(m.run(100_000));
+    assert_eq!(m.nodes[0].miss_stats().l1_misses, 1, "second load hits");
     let s = m.nodes[0].stats();
-    assert_eq!(s.l1_misses, 1, "second load hits");
     assert!(s.l1_hits >= 1);
     assert!(s.finished_at.is_some());
     assert_eq!(s.retired, 2);

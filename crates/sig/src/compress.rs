@@ -91,8 +91,8 @@ impl std::fmt::Display for CodecError {
 ///
 /// Layout: `[mode, banks, bank_index_bits, flags, count: u32 LE]` (8 bytes,
 /// the same header the [`wire_bytes`] model charges), then either `count`
-/// little-endian `u16` set-bit positions ([`MODE_SPARSE`]) or the raw
-/// backing words ([`MODE_RAW`]) — whichever is smaller, so a sparse chunk
+/// little-endian `u16` set-bit positions (`MODE_SPARSE`) or the raw
+/// backing words (`MODE_RAW`) — whichever is smaller, so a sparse chunk
 /// write set costs a few dozen bytes while a saturated signature never
 /// pays more than header + raw bits.
 ///

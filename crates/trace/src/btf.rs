@@ -206,7 +206,7 @@ const KNOWN: &[&str] = &[
 
 /// Map a decoded string to a `&'static str` (the event vocabulary stores
 /// net kinds and xray sites as statics). Known strings cost a linear scan
-/// of [`KNOWN`]; unknown ones are leaked exactly once into a process-wide
+/// of `KNOWN`; unknown ones are leaked exactly once into a process-wide
 /// table — bounded by the distinct-string vocabulary of the trace, not by
 /// its length.
 pub fn intern(s: &str) -> &'static str {

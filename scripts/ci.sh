@@ -14,6 +14,9 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --workspace --all-targets --offline -- -D warnings
+# Broken intra-doc links (say, to an item that moved crates) only warn,
+# so deny them here.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 run cargo build --workspace --release --offline
 run cargo test --workspace -q --offline
 
